@@ -161,8 +161,6 @@ def cmd_forward(args) -> int:
 def cmd_series(args) -> int:
     f = fileio.read_density_csv(args.input_path)
     p = Efficiency(args.p)
-    if args.k < 0:
-        raise ValidationError(f"series order must be nonnegative, got {args.k}")
     partial = series_partial_sum(f, p, args.k)
     closed = detected_density(f, p)
     gap = float(np.abs(partial.values - closed.values).sum() * f.grid.dt)
@@ -212,8 +210,6 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     law = parse_law(args.law)
     p = Efficiency(args.p)
-    if args.emissions < 1:
-        raise ValidationError(f"need at least one emission, got {args.emissions}")
     dt = args.dt
     if dt is None:
         dt = DEFAULT_MEAN_COVERAGE * law.mean() / (p.p * args.n)
@@ -252,8 +248,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_region(args) -> int:
     p = Efficiency(args.p)
-    if args.count < 3:
-        raise ValidationError(f"boundary needs at least 3 samples, got {args.count}")
     boundary = region_boundary_samples(p, args.count)
     region = classical_region(p)
     out = _outdir(args)

@@ -20,7 +20,7 @@ from scipy import special as sp_special
 
 from .errors import GridMismatch, TooFewClicks, ValidationError
 from .spectral import Density, TimeGrid, density_from_masses
-from .thinning import Efficiency
+from .thinning import _eff
 
 __all__ = [
     "KS_COEFF_1PCT",
@@ -45,17 +45,9 @@ __all__ = [
 # to 4 decimals (cross-checked in the test suite).
 KS_COEFF_1PCT = 1.6276
 
-# Inverse-CDF sampling tables use this many knots.
-_TABLE_SIZE = 1 << 16
-# and extend to the quantile where the survival drops to this value.
-_TABLE_TAIL = 1e-12
-
 
 class SourceLaw(ABC):
-    """A waiting-time law: analytic pdf/cdf plus a sampler."""
-
-    @abstractmethod
-    def pdf(self, t: np.ndarray) -> np.ndarray: ...
+    """A waiting-time law: analytic cdf and mean plus an exact sampler."""
 
     @abstractmethod
     def cdf(self, t: np.ndarray) -> np.ndarray: ...
@@ -93,10 +85,6 @@ class Exponential(SourceLaw):
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be positive, got {self.rate}")
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.where(t >= 0, self.rate * np.exp(-self.rate * t), 0.0)
-
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
         return np.where(t >= 0, -np.expm1(-self.rate * t), 0.0)
@@ -122,13 +110,6 @@ class Gamma(SourceLaw):
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"rate must be positive, got {self.rate}")
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (self.rate ** self.shape * t ** (self.shape - 1.0)
-                   * np.exp(-self.rate * t) / sp_special.gamma(self.shape))
-        return np.where(t > 0, out, 0.0)
-
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
         return np.where(t > 0, sp_special.gammainc(self.shape, self.rate * np.clip(t, 0, None)), 0.0)
@@ -151,11 +132,6 @@ class Uniform(SourceLaw):
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and 0 <= self.lo < self.hi):
             raise ValidationError(f"need 0 <= lo < hi, got lo={self.lo}, hi={self.hi}")
-
-    def pdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        inside = (t >= self.lo) & (t < self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -181,12 +157,6 @@ class Periodic(SourceLaw):
         if not (np.isfinite(self.period) and self.period > 0):
             raise ValidationError(f"period must be positive, got {self.period}")
 
-    def pdf(self, t):
-        # Point mass; no density exists.  Returned for interface
-        # completeness: zero everywhere except a spike marker at the atom.
-        t = np.asarray(t, dtype=np.float64)
-        return np.where(t == self.period, np.inf, 0.0)
-
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
         return np.where(t >= self.period, 1.0, 0.0)
@@ -206,9 +176,10 @@ class AntibunchShaped(SourceLaw):
     """Density proportional to (1 - exp(-rise*t)) * exp(-decay*t).
 
     Vanishes at t=0 and rises on the 1/rise scale before an exponential
-    tail; the shape a strongly antibunched emitter produces.  Sampling is
-    by inverse CDF on a precomputed 2^16-knot table with linear
-    interpolation.
+    tail; the shape a strongly antibunched emitter produces.  Normalized,
+    the density is b(a+b)/a (e^{-bt} - e^{-(a+b)t}) with a = rise and
+    b = decay: the hypoexponential law of Exp(decay) + Exp(rise + decay),
+    which is how it is sampled, exactly.
     """
 
     rise: float = 5.0
@@ -219,35 +190,18 @@ class AntibunchShaped(SourceLaw):
             raise ValidationError(f"rise rate must be positive, got {self.rise}")
         if not (np.isfinite(self.decay) and self.decay > 0):
             raise ValidationError(f"decay rate must be positive, got {self.decay}")
-        # normalization: integral of (1-e^{-rise t}) e^{-decay t}
-        # = 1/decay - 1/(rise+decay) = rise / (decay (rise+decay))
-        norm = self.decay * (self.rise + self.decay) / self.rise
-        object.__setattr__(self, "_norm", norm)
-        t_max = np.log(norm / (self.decay * _TABLE_TAIL)) / self.decay * 1.2
-        knots_t = np.linspace(0.0, t_max, _TABLE_SIZE)
-        object.__setattr__(self, "_knots_t", knots_t)
-        object.__setattr__(self, "_knots_cdf", self._cdf_exact(knots_t))
-
-    def _cdf_exact(self, t):
-        a, b = self.rise, self.decay
-        return self._norm * (-np.expm1(-b * t) / b + np.expm1(-(a + b) * t) / (a + b))
-
-    def pdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = self._norm * -np.expm1(-self.rise * t) * np.exp(-self.decay * t)
-        return np.where(t >= 0, out, 0.0)
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.where(t > 0, self._cdf_exact(np.clip(t, 0, None)), 0.0)
+        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, None)
+        a, b = self.rise, self.decay
+        return b * (a + b) / a * (-np.expm1(-b * t) / b + np.expm1(-(a + b) * t) / (a + b))
 
     def mean(self):
-        a, b = self.rise, self.decay
-        return self._norm * (1.0 / b**2 - 1.0 / (a + b) ** 2)
+        return 1.0 / self.decay + 1.0 / (self.rise + self.decay)
 
     def sample(self, rng, size):
-        u = rng.random(size)
-        return np.interp(u, self._knots_cdf, self._knots_t)
+        return (rng.exponential(1.0 / self.decay, size)
+                + rng.exponential(1.0 / (self.rise + self.decay), size))
 
     def describe(self):
         return "antibunch", {"rise": self.rise, "decay": self.decay}
@@ -288,7 +242,7 @@ def simulate(law: SourceLaw, p, n_emitted: int, seed: int,
     because intervals and coin flips are drawn per shard and reassembled
     in shard order.
     """
-    eff = _eff_p(p)
+    eff = _eff(p).p
     if not isinstance(n_emitted, (int, np.integer)) or n_emitted < 1:
         raise ValidationError(f"need at least one emission, got {n_emitted}")
     if not isinstance(shards, (int, np.integer)) or shards < 1:
@@ -309,10 +263,6 @@ def simulate(law: SourceLaw, p, n_emitted: int, seed: int,
     mask = np.concatenate(kept)
     return ClickStream(timestamps=emission_times[mask], n_emitted=int(n_emitted),
                        p=eff, seed=seed, shards=int(shards))
-
-
-def _eff_p(p) -> float:
-    return p.p if isinstance(p, Efficiency) else Efficiency(float(p)).p
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidDensity, NonHermitianSpectrum
+from .errors import InvalidDensity, NonHermitianSpectrum
 
 __all__ = [
     "DEFAULT_GRID_SAMPLES",
@@ -153,11 +153,6 @@ class Spectrum:
             raise ValueError(
                 f"spectrum needs {self.grid.n} samples, got shape {v.shape}")
         object.__setattr__(self, "values", _readonly(v))
-
-
-def require_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 
 def validate_density(d: Density, tol: Tolerances = DEFAULT_TOLERANCES) -> None:

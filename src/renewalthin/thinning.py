@@ -263,8 +263,7 @@ def in_classical_region(z: complex, p, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     Membership is meaningful for |z| <= 1 + tol.mag (detected spectra are
     bounded by 1).  Tolerance-padded: boundary points count as inside.
     """
-    region = classical_region(p)
-    return bool(abs(z - region.center) <= region.radius + tol.mag)
+    return bool(classical_region(p).excess(z) <= tol.mag)
 
 
 class VerdictKind(str, Enum):

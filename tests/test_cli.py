@@ -200,6 +200,13 @@ def test_validation_errors_exit_3(tmp_path, exp_csv, capsys):
     assert "efficiency" in capsys.readouterr().err
     assert main(["simulate", "--law", "nosuchlaw:1", "--p", "0.5",
                  "--out", str(tmp_path / "x")]) == 3
+    # the library, not the CLI, rejects these values
+    assert main(["series", "--in", str(exp_csv), "--p", "0.5", "--k", "-1",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert main(["simulate", "--law", "exponential:1", "--p", "0.5",
+                 "--emissions", "0", "--out", str(tmp_path / "x")]) == 3
+    assert main(["region", "--p", "0.5", "--count", "2",
+                 "--out", str(tmp_path / "x")]) == 3
 
 
 def test_numeric_failures_exit_4(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.special import kolmogi
+from scipy.stats import kstest
 
 from renewalthin import (
     TimeGrid,
@@ -49,6 +50,24 @@ def test_law_means():
     assert Periodic(3.0).mean() == pytest.approx(3.0)
     # C(1 - e^{-5t}) e^{-t} has mean (rise + 2 decay)/(decay (rise + decay))
     assert AntibunchShaped(5.0, 1.0).mean() == pytest.approx(7.0 / 6.0)
+
+
+@pytest.mark.parametrize("rise, decay", [(5.0, 1.0), (0.2, 1.0), (50.0, 1.0)])
+def test_antibunch_sample_follows_its_cdf(rise, decay):
+    """Unbinned KS of the two-exponential sampler against the law's cdf."""
+    law = AntibunchShaped(rise, decay)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
+    assert kstest(law.sample(rng, 200_000), law.cdf).pvalue > 1e-3
+
+
+def test_antibunch_cdf_is_hypoexponential():
+    """cdf = 1 - (l2 e^{-l1 t} - l1 e^{-l2 t})/(l2 - l1), l1 = decay, l2 = rise + decay."""
+    t = np.linspace(0.0, 30.0, 3001)
+    for rise, decay in ((5.0, 1.0), (0.2, 1.0), (50.0, 1.0), (1.0, 2.5)):
+        l1, l2 = decay, rise + decay
+        closed = 1.0 - (l2 * np.exp(-l1 * t) - l1 * np.exp(-l2 * t)) / (l2 - l1)
+        np.testing.assert_allclose(AntibunchShaped(rise, decay).cdf(t), closed,
+                                   rtol=0, atol=1e-12)
 
 
 def test_law_densities_are_normalized(source_laws):

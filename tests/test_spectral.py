@@ -20,7 +20,6 @@ from renewalthin import (
 )
 from renewalthin.errors import (
     InvalidDensity,
-    GridMismatch,
     NonHermitianSpectrum,
 )
 
@@ -176,16 +175,6 @@ def test_negativity_mass():
     assert negativity_mass(Density(g, v)) == pytest.approx(0.05)
     v[1] = 0.0
     assert negativity_mass(Density(g, v)) == 0.0
-
-
-def test_require_same_grid():
-    a = Exponential(1.0).density(TimeGrid(256, 0.05))
-    b = Exponential(1.0).density(TimeGrid(256, 0.1))
-    from renewalthin.spectral import require_same_grid
-
-    with pytest.raises(GridMismatch):
-        require_same_grid(a, b)
-    require_same_grid(a, a)
 
 
 def test_tolerances_defaults():
