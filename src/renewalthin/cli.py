@@ -35,6 +35,7 @@ from .thinning import (
     DEFAULT_TAU_NEG,
     DEFAULT_TAU_POLE,
     Efficiency,
+    _density_from_detected_spectrum,
     classical_region,
     classify,
     detected_density,
@@ -147,9 +148,9 @@ def _outdir(args) -> Path:
 def cmd_forward(args) -> int:
     f = fileio.read_density_csv(args.input_path)
     p = Efficiency(args.p)
-    F = detected_density(f, p)
     phi = forward_transform(f)
     big_phi = detected_spectrum(phi, p)
+    F = _density_from_detected_spectrum(big_phi, p)
     out = _outdir(args)
     fileio.write_density_csv(out / "detected_density.csv", F)
     fileio.write_spectrum_csv(out / "emission_spectrum.csv", phi)

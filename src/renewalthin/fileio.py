@@ -1,10 +1,10 @@
 """On-disk formats: CSV for grid signals and click streams, JSON for reports.
 
-Floats are written with 17 significant digits so every file re-parses to
-the exact same binary values; identical runs produce byte-identical
-files.  Readers validate structure (headers, uniform spacing) but stay
-permissive about values -- a recovered density with negative lobes must
-survive a round trip unchanged.
+All CSV writes go through one ``%.17g`` row writer and all reads through
+one numpy parser, so files re-parse to the exact same doubles and
+identical runs give byte-identical files.  Readers check structure
+(headers, column count, uniform spacing) but not values -- a recovered
+density with negative lobes must survive a round trip unchanged.
 """
 
 from __future__ import annotations
@@ -33,35 +33,41 @@ __all__ = [
 
 # Relative tolerance for the uniform-spacing check on read.
 _SPACING_RTOL = 1e-9
+# Rows formatted per write: the text of one block is all a writer holds.
+_WRITE_BLOCK_ROWS = 4096
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(path, header: str, *columns) -> None:
+    """Write ``header`` then one ``%.17g`` row per index across ``columns``."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, cols[0].size, _WRITE_BLOCK_ROWS):
+            block = [c[i:i + _WRITE_BLOCK_ROWS].tolist() for c in cols]
+            fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 def write_density_csv(path, density: Density) -> None:
     """Write header ``t,value`` and one row per grid sample."""
-    dt = density.grid.dt
-    lines = ["t,value"]
-    lines += [f"{_fmt(k * dt)},{_fmt(v)}" for k, v in enumerate(density.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "t,value", density.grid.times(), density.values)
 
 
 def _read_rows(path, header: str, n_cols: int) -> np.ndarray:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != header:
-        raise ValidationError(
-            f"{path}: expected header {header!r}, got {lines[0].strip()!r}"
-            if lines else f"{path}: empty file")
+    """Rows under a first-line ``header`` as an (n, n_cols) float array."""
+    with open(path) as fh:
+        head = fh.readline().strip()
+        if head != header:
+            raise ValidationError(f"{path}: expected header {header!r}, got {head!r}")
+        if all(ln.isspace() for ln in fh):
+            raise ValidationError(f"{path}: no data rows under {header!r}")
     try:
-        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]],
-                        dtype=np.float64)
+        rows = np.loadtxt(path, skiprows=1, delimiter=",", comments=None,
+                          ndmin=2, dtype=np.float64)
     except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell: {exc}") from None
-    if rows.ndim != 2 or rows.shape[1] != n_cols:
-        raise ValidationError(
-            f"{path}: expected {n_cols} columns under {header!r}")
+        raise ValidationError(f"{path}: malformed data row: {exc}") from None
+    if rows.shape[1] != n_cols:
+        raise ValidationError(f"{path}: expected {n_cols} columns under {header!r}")
     return rows
 
 
@@ -88,13 +94,8 @@ def read_density_csv(path) -> Density:
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     """Write header ``omega,re,im`` in FFT sample order (folded frequencies)."""
-    omegas = spectrum.grid.omegas()
-    lines = ["omega,re,im"]
-    lines += [
-        f"{_fmt(w)},{_fmt(v.real)},{_fmt(v.imag)}"
-        for w, v in zip(omegas, spectrum.values)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    v = spectrum.values
+    _write_rows(path, "omega,re,im", spectrum.grid.omegas(), v.real, v.imag)
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -117,13 +118,11 @@ def read_spectrum_csv(path) -> Spectrum:
 
 
 def write_clicks_csv(path, timestamps: np.ndarray) -> None:
-    lines = ["timestamp"] + [_fmt(t) for t in timestamps]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "timestamp", timestamps)
 
 
 def read_clicks_csv(path) -> np.ndarray:
-    rows = _read_rows(path, "timestamp", 1)
-    return rows[:, 0]
+    return _read_rows(path, "timestamp", 1)[:, 0]
 
 
 def write_json(path, payload: dict) -> None:
@@ -156,8 +155,7 @@ def verdict_to_dict(verdict: ClassicalityVerdict, p: float, grid: TimeGrid) -> d
 
 def write_region_csv(path, boundary: np.ndarray) -> None:
     """Write boundary samples as ``re,im`` rows."""
-    lines = ["re,im"] + [f"{_fmt(z.real)},{_fmt(z.imag)}" for z in boundary]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "re,im", np.real(boundary), np.imag(boundary))
 
 
 def region_meta_dict(region: ClassicalRegion) -> dict:

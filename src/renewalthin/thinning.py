@@ -138,8 +138,15 @@ def detected_density(f: Density, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Den
     result is a valid Density, anything worse raises.
     """
     eff = _eff(p)
+    # phi stays referenced until return.  Freeing it early lowers the heap's
+    # high-water mark, and the next large allocations then page-fault.
     phi = forward_transform(f, tol)
-    big_phi = detected_spectrum(phi, eff, tol)
+    return _density_from_detected_spectrum(detected_spectrum(phi, eff, tol), eff, tol)
+
+
+def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency,
+                                    tol: Tolerances = DEFAULT_TOLERANCES) -> Density:
+    """Invert a detected spectrum and apply detected_density's output checks."""
     out = inverse_transform(big_phi, tol)
     v = np.array(out.values)
     dt = out.grid.dt

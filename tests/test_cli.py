@@ -209,6 +209,14 @@ def test_validation_errors_exit_3(tmp_path, exp_csv, capsys):
                  "--out", str(tmp_path / "x")]) == 3
 
 
+def test_classify_of_ragged_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,value\n0.0,1.0\n0.1\n0.2,1.0\n")
+    assert main(["classify", "--in", str(path), "--p", "0.5",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "malformed data row" in capsys.readouterr().err
+
+
 def test_numeric_failures_exit_4(tmp_path, capsys):
     # horizon far too short once the mean stretches by 1/p
     g = TimeGrid(2048, 0.02)
