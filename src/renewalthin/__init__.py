@@ -37,11 +37,9 @@ from .mcsim import (
     waiting_time_histogram,
 )
 from .spectral import (
-    DEFAULT_TOLERANCES,
     Density,
     Spectrum,
     TimeGrid,
-    Tolerances,
     density_from_masses,
     forward_transform,
     grid_for_mean,
@@ -75,7 +73,7 @@ __all__ = [
     "NonHermitianSpectrum", "DenominatorUnderflow", "ExactPole",
     "HorizonTooShort", "TooFewClicks",
     # spectral
-    "TimeGrid", "Density", "Spectrum", "Tolerances", "DEFAULT_TOLERANCES",
+    "TimeGrid", "Density", "Spectrum",
     "grid_for_mean", "validate_density", "forward_transform",
     "inverse_transform", "density_from_masses", "negativity_mass",
     # thinning

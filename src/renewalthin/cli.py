@@ -29,6 +29,7 @@ from .spectral import (
     DEFAULT_MEAN_COVERAGE,
     TimeGrid,
     forward_transform,
+    grid_for_mean,
     inverse_transform,
 )
 from .thinning import (
@@ -211,15 +212,16 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     law = parse_law(args.law)
     p = Efficiency(args.p)
-    dt = args.dt
-    if dt is None:
-        dt = DEFAULT_MEAN_COVERAGE * law.mean() / (p.p * args.n)
-    grid = TimeGrid(n=args.n, dt=dt)
+    if args.dt is None:
+        grid = grid_for_mean(law.mean() / p.p, n=args.n)
+    else:
+        grid = TimeGrid(n=args.n, dt=args.dt)
 
     clicks = simulate(law, p, args.emissions, args.seed, shards=args.shards)
     hist = waiting_time_histogram(clicks, grid)
     analytic = detected_density(law.density(grid), p)
     metrics = compare(hist.density, analytic)
+    ks_critical = ks_critical_value(hist.n_intervals)
 
     out = _outdir(args)
     name, params = law.describe()
@@ -237,13 +239,13 @@ def cmd_simulate(args) -> int:
         "l1": metrics.l1,
         "linf": metrics.linf,
         "ks": metrics.ks,
-        "ks_critical_1pct": ks_critical_value(hist.n_intervals),
+        "ks_critical_1pct": ks_critical,
         "n_intervals": hist.n_intervals,
         "overflow_fraction": hist.overflow_fraction,
     })
     print(f"simulate: detected {clicks.timestamps.size}/{clicks.n_emitted} "
           f"clicks, ks={metrics.ks:.3g} "
-          f"(1% critical {ks_critical_value(hist.n_intervals):.3g})")
+          f"(1% critical {ks_critical:.3g})")
     return EXIT_OK
 
 

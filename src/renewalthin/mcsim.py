@@ -12,8 +12,10 @@ shard-parallel runs are deterministic for a fixed (seed, shard count).
 
 from __future__ import annotations
 
+import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import special as sp_special
@@ -47,7 +49,13 @@ KS_COEFF_1PCT = 1.6276
 
 
 class SourceLaw(ABC):
-    """A waiting-time law: analytic cdf and mean plus an exact sampler."""
+    """A waiting-time law: analytic cdf and mean plus an exact sampler.
+
+    Each law is a frozen dataclass whose fields are its parameters, in the
+    order ``parse_law`` reads them, and whose ``name`` is its CLI name.
+    """
+
+    name: ClassVar[str]
 
     @abstractmethod
     def cdf(self, t: np.ndarray) -> np.ndarray: ...
@@ -58,9 +66,9 @@ class SourceLaw(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray: ...
 
-    @abstractmethod
     def describe(self) -> tuple[str, dict]:
         """(name, parameters) for metadata sidecars."""
+        return self.name, dataclasses.asdict(self)
 
     def density(self, grid: TimeGrid) -> Density:
         """Discretize onto a grid by centered-cell CDF differences.
@@ -79,6 +87,7 @@ class SourceLaw(ABC):
 
 @dataclass(frozen=True)
 class Exponential(SourceLaw):
+    name: ClassVar[str] = "exponential"
     rate: float = 1.0
 
     def __post_init__(self):
@@ -95,12 +104,10 @@ class Exponential(SourceLaw):
     def sample(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
-    def describe(self):
-        return "exponential", {"rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Gamma(SourceLaw):
+    name: ClassVar[str] = "gamma"
     shape: float = 2.0
     rate: float = 1.0
 
@@ -120,12 +127,10 @@ class Gamma(SourceLaw):
     def sample(self, rng, size):
         return rng.gamma(self.shape, scale=1.0 / self.rate, size=size)
 
-    def describe(self):
-        return "gamma", {"shape": self.shape, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Uniform(SourceLaw):
+    name: ClassVar[str] = "uniform"
     lo: float = 0.5
     hi: float = 1.5
 
@@ -143,14 +148,12 @@ class Uniform(SourceLaw):
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def describe(self):
-        return "uniform", {"lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Periodic(SourceLaw):
     """Degenerate law: every waiting time equals the period exactly."""
 
+    name: ClassVar[str] = "periodic"
     period: float = 1.0
 
     def __post_init__(self):
@@ -167,9 +170,6 @@ class Periodic(SourceLaw):
     def sample(self, rng, size):
         return np.full(size, self.period, dtype=np.float64)
 
-    def describe(self):
-        return "periodic", {"period": self.period}
-
 
 @dataclass(frozen=True)
 class AntibunchShaped(SourceLaw):
@@ -182,6 +182,7 @@ class AntibunchShaped(SourceLaw):
     which is how it is sampled, exactly.
     """
 
+    name: ClassVar[str] = "antibunch"
     rise: float = 5.0
     decay: float = 1.0
 
@@ -202,9 +203,6 @@ class AntibunchShaped(SourceLaw):
     def sample(self, rng, size):
         return (rng.exponential(1.0 / self.decay, size)
                 + rng.exponential(1.0 / (self.rise + self.decay), size))
-
-    def describe(self):
-        return "antibunch", {"rise": self.rise, "decay": self.decay}
 
 
 @dataclass(frozen=True)
@@ -339,13 +337,8 @@ def ks_critical_value(n_intervals: int, coeff: float = KS_COEFF_1PCT) -> float:
     return coeff / np.sqrt(n_intervals)
 
 
-_LAW_BUILDERS = {
-    "exponential": (Exponential, ("rate",)),
-    "gamma": (Gamma, ("shape", "rate")),
-    "uniform": (Uniform, ("lo", "hi")),
-    "periodic": (Periodic, ("period",)),
-    "antibunch": (AntibunchShaped, ("rise", "decay")),
-}
+_LAW_BUILDERS = {law.name: law for law in
+                 (Exponential, Gamma, Uniform, Periodic, AntibunchShaped)}
 
 
 def parse_law(text: str) -> SourceLaw:
@@ -360,7 +353,8 @@ def parse_law(text: str) -> SourceLaw:
     if name not in _LAW_BUILDERS:
         known = ", ".join(sorted(_LAW_BUILDERS))
         raise ValidationError(f"unknown law {name!r}; expected one of: {known}")
-    cls, fields = _LAW_BUILDERS[name]
+    cls = _LAW_BUILDERS[name]
+    fields = [f.name for f in dataclasses.fields(cls)]
     params = [s for s in param_text.split(",") if s.strip()] if param_text else []
     if len(params) > len(fields):
         raise ValidationError(
@@ -370,9 +364,4 @@ def parse_law(text: str) -> SourceLaw:
         kwargs = {f: float(s) for f, s in zip(fields, params)}
     except ValueError as exc:
         raise ValidationError(f"bad numeric parameter in {text!r}: {exc}") from None
-    try:
-        return cls(**kwargs)
-    except TypeError:
-        raise ValidationError(
-            f"law {name!r} needs {len(fields)} parameters "
-            f"({', '.join(fields)}), got {len(params)}") from None
+    return cls(**kwargs)

@@ -25,8 +25,9 @@ __all__ = [
     "DEFAULT_GRID_SAMPLES",
     "DEFAULT_MEAN_COVERAGE",
     "TAIL_WINDOW_FRACTION",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "NORM_TOL",
+    "MAG_TOL",
+    "TAIL_TOL",
     "TimeGrid",
     "Density",
     "Spectrum",
@@ -46,24 +47,13 @@ DEFAULT_MEAN_COVERAGE = 25.0
 # Fraction of the grid that the tail-headroom check inspects.
 TAIL_WINDOW_FRACTION = 0.1
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances used by validation and the transforms.
-
-    norm: allowed deviation of the total mass from 1.
-    mag:  round-trip / symmetry tolerance for spectra and region tests.
-    neg:  how far below zero a declared-valid density value may sit.
-    tail: mass allowed in the last grid sample and in the tail window.
-    """
-
-    norm: float = 1e-6
-    mag: float = 1e-9
-    neg: float = 0.0
-    tail: float = 1e-8
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Allowed deviation of a density's total mass from 1.
+NORM_TOL = 1e-6
+# Round-off allowance for the unit bound on spectra, the Hermitian residual
+# of an inverse transform, and the classical-region tests.
+MAG_TOL = 1e-9
+# Mass allowed in the last grid sample and in the tail window.
+TAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,12 +82,11 @@ class TimeGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dt)
 
 
-def grid_for_mean(mean_wait: float, n: int = DEFAULT_GRID_SAMPLES,
-                  coverage: float = DEFAULT_MEAN_COVERAGE) -> TimeGrid:
-    """Grid whose horizon covers ``coverage`` mean waiting times."""
+def grid_for_mean(mean_wait: float, n: int = DEFAULT_GRID_SAMPLES) -> TimeGrid:
+    """Grid whose horizon covers DEFAULT_MEAN_COVERAGE mean waiting times."""
     if not (np.isfinite(mean_wait) and mean_wait > 0):
         raise ValueError(f"mean waiting time must be positive, got {mean_wait}")
-    return TimeGrid(n=n, dt=coverage * mean_wait / n)
+    return TimeGrid(n=n, dt=DEFAULT_MEAN_COVERAGE * mean_wait / n)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -155,67 +144,68 @@ class Spectrum:
         object.__setattr__(self, "values", _readonly(v))
 
 
-def validate_density(d: Density, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def validate_density(d: Density) -> None:
     """Check the probability-density invariants, raising InvalidDensity.
 
-    Checks, in order: no value below -tol.neg; total mass within tol.norm
-    of 1; negligible mass in the final sample and in the last tenth of
+    Checks, in order: no value below zero; total mass within NORM_TOL of
+    1; mass below TAIL_TOL in the final sample and in the last tenth of
     the grid (wrap-around headroom for the circular transform).
     """
     v = d.values
     dt = d.grid.dt
     vmin = float(v.min())
-    if vmin < -tol.neg:
+    if vmin < 0.0:
         k = int(v.argmin())
         raise InvalidDensity(
-            "negativity",
-            f"value {vmin:.6g} at t={k * dt:.6g} below -{tol.neg:.3g}")
+            "negativity", f"value {vmin:.6g} at t={k * dt:.6g} below 0")
     mass = d.mass
-    if abs(mass - 1.0) > tol.norm:
+    if abs(mass - 1.0) > NORM_TOL:
         raise InvalidDensity(
             "normalization",
-            f"total mass {mass:.12g} deviates from 1 by more than {tol.norm:.3g}")
+            f"total mass {mass:.12g} deviates from 1 by more than {NORM_TOL:.3g}")
     last_mass = float(v[-1]) * dt
-    if not last_mass < tol.tail:
+    if not last_mass < TAIL_TOL:
         raise InvalidDensity(
             "tail_sample",
-            f"final sample carries mass {last_mass:.3g} >= {tol.tail:.3g}; "
+            f"final sample carries mass {last_mass:.3g} >= {TAIL_TOL:.3g}; "
             "extend the horizon")
     tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * d.grid.n))
     window_mass = float(v[tail_start:].sum()) * dt
-    if not window_mass < tol.tail:
+    if not window_mass < TAIL_TOL:
         raise InvalidDensity(
             "tail_window",
             f"last {TAIL_WINDOW_FRACTION:.0%} of the grid carries mass "
-            f"{window_mass:.3g} >= {tol.tail:.3g}; extend the horizon")
+            f"{window_mass:.3g} >= {TAIL_TOL:.3g}; extend the horizon")
 
 
-def forward_transform(d: Density, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
-    """Rectangle-rule transform of a valid density.
+def forward_transform(d: Density) -> Spectrum:
+    """Rectangle-rule transform of a valid density, normalized to unit mass.
 
-    Returns the spectrum with values dt * DFT(d.values); sample 0 equals
-    the total mass, so it is 1 within tol.norm for a valid density.
+    Returns the spectrum with values dt * DFT(d.values) / mass: the
+    characteristic function of d / mass, so sample 0 is 1 and the unit
+    bound |phi| <= 1 holds up to round-off even when the mass sits
+    anywhere in the NORM_TOL band that validation accepts.
     """
-    validate_density(d, tol)
-    return Spectrum(d.grid, np.fft.fft(d.values) * d.grid.dt)
+    validate_density(d)
+    return Spectrum(d.grid, np.fft.fft(d.values) * (d.grid.dt / d.mass))
 
 
-def inverse_transform(s: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Density:
+def inverse_transform(s: Spectrum) -> Density:
     """Invert a spectrum back to the time grid.
 
     The reconstruction of a (numerically) Hermitian spectrum is real up
     to round-off; the imaginary residual is discarded when it is below
-    tol.mag relative to the spectrum's own scale and raises
-    NonHermitianSpectrum otherwise.  inverse(forward(d)) reproduces d to
-    round-off.
+    MAG_TOL relative to the spectrum's own scale and raises
+    NonHermitianSpectrum otherwise.  inverse(forward(d)) reproduces
+    d / mass to round-off.
     """
     y = np.fft.ifft(s.values) / s.grid.dt
     scale = max(1.0, float(np.abs(s.values).max()))
     residual = float(np.abs(y.imag).max())
-    if residual > tol.mag * scale:
+    if residual > MAG_TOL * scale:
         raise NonHermitianSpectrum(
             f"imaginary residual {residual:.3g} exceeds "
-            f"{tol.mag:.3g} x spectrum scale {scale:.3g}")
+            f"{MAG_TOL:.3g} x spectrum scale {scale:.3g}")
     return Density(s.grid, y.real)
 
 

@@ -39,15 +39,16 @@ from .errors import (
     ValidationError,
 )
 from .spectral import (
-    DEFAULT_TOLERANCES,
+    MAG_TOL,
+    NORM_TOL,
+    TAIL_TOL,
+    TAIL_WINDOW_FRACTION,
     Density,
     Spectrum,
-    Tolerances,
     forward_transform,
     inverse_transform,
     negativity_mass,
     validate_density,
-    TAIL_WINDOW_FRACTION,
 )
 
 __all__ = [
@@ -100,15 +101,15 @@ def _eff(p) -> Efficiency:
     return p if isinstance(p, Efficiency) else Efficiency(float(p))
 
 
-def _check_unit_bound(s: Spectrum, tol: Tolerances, what: str) -> None:
+def _check_unit_bound(s: Spectrum, what: str) -> None:
     peak = float(np.abs(s.values).max())
-    if peak > 1.0 + tol.mag:
+    if peak > 1.0 + MAG_TOL:
         raise InvalidSpectrum(
-            f"{what} magnitude {peak:.12g} exceeds 1 + {tol.mag:.3g}; "
+            f"{what} magnitude {peak:.12g} exceeds 1 + {MAG_TOL:.3g}; "
             "not the transform of a probability density")
 
 
-def detected_spectrum(phi: Spectrum, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
+def detected_spectrum(phi: Spectrum, p) -> Spectrum:
     """Map an emission spectrum to the detected-stream spectrum.
 
     Pointwise Phi = p phi / (1 - (1-p) phi).  Raises DenominatorUnderflow
@@ -117,7 +118,7 @@ def detected_spectrum(phi: Spectrum, p, tol: Tolerances = DEFAULT_TOLERANCES) ->
     bound.
     """
     eff = _eff(p)
-    _check_unit_bound(phi, tol, "emission spectrum")
+    _check_unit_bound(phi, "emission spectrum")
     denom = 1.0 - eff.overlook * phi.values
     dmin = float(np.abs(denom).min())
     if dmin < DENOMINATOR_UNDERFLOW_LIMIT:
@@ -127,7 +128,7 @@ def detected_spectrum(phi: Spectrum, p, tol: Tolerances = DEFAULT_TOLERANCES) ->
     return Spectrum(phi.grid, eff.p * phi.values / denom)
 
 
-def detected_density(f: Density, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Density:
+def detected_density(f: Density, p) -> Density:
     """Closed-form waiting density of the thinned stream.
 
     Transforms f, applies the forward map, and inverts.  The horizon must
@@ -140,20 +141,19 @@ def detected_density(f: Density, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Den
     eff = _eff(p)
     # phi stays referenced until return.  Freeing it early lowers the heap's
     # high-water mark, and the next large allocations then page-fault.
-    phi = forward_transform(f, tol)
-    return _density_from_detected_spectrum(detected_spectrum(phi, eff, tol), eff, tol)
+    phi = forward_transform(f)
+    return _density_from_detected_spectrum(detected_spectrum(phi, eff), eff)
 
 
-def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency,
-                                    tol: Tolerances = DEFAULT_TOLERANCES) -> Density:
+def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency) -> Density:
     """Invert a detected spectrum and apply detected_density's output checks."""
-    out = inverse_transform(big_phi, tol)
+    out = inverse_transform(big_phi)
     v = np.array(out.values)
     dt = out.grid.dt
 
     tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * out.grid.n))
     window_mass = float(v[tail_start:].sum()) * dt
-    if not window_mass < tol.tail:
+    if not window_mass < TAIL_TOL:
         raise HorizonTooShort(
             f"detected density keeps mass {window_mass:.3g} in the last "
             f"{TAIL_WINDOW_FRACTION:.0%} of the grid (mean stretches by 1/p = "
@@ -168,15 +168,14 @@ def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency,
     np.clip(v, 0.0, None, out=v)
 
     result = Density(out.grid, v)
-    if abs(result.mass - 1.0) > tol.norm:
+    if abs(result.mass - 1.0) > NORM_TOL:
         raise InvalidDensity(
             "normalization",
             f"detected density mass {result.mass:.12g} deviates from 1")
     return result
 
 
-def series_partial_sum(f: Density, p, order: int,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> Density:
+def series_partial_sum(f: Density, p, order: int) -> Density:
     """Brute-force partial sum F_K = sum_{k<=K} p (1-p)^k f^{*(k+1)}.
 
     Convolution powers are built by direct time-domain convolution
@@ -189,7 +188,7 @@ def series_partial_sum(f: Density, p, order: int,
     eff = _eff(p)
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise ValueError(f"series order must be a nonnegative integer, got {order}")
-    validate_density(f, tol)
+    validate_density(f)
     n = f.grid.n
     dt = f.grid.dt
     power = np.array(f.values)            # f^{*(k+1)} for k = 0
@@ -202,8 +201,7 @@ def series_partial_sum(f: Density, p, order: int,
     return Density(f.grid, acc)
 
 
-def emitted_spectrum(big_phi: Spectrum, p,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Spectrum, float]:
+def emitted_spectrum(big_phi: Spectrum, p) -> tuple[Spectrum, float]:
     """Invert the thinning map in the spectral domain.
 
     Returns (phi, pole_proximity) with
@@ -213,7 +211,7 @@ def emitted_spectrum(big_phi: Spectrum, p,
     proximity so callers can judge how much amplified noise to expect.
     """
     eff = _eff(p)
-    _check_unit_bound(big_phi, tol, "detected spectrum")
+    _check_unit_bound(big_phi, "detected spectrum")
     denom = 1.0 - (1.0 - 1.0 / eff.p) * big_phi.values
     mags = np.abs(denom)
     proximity = float(mags.min())
@@ -264,13 +262,13 @@ def region_boundary_samples(p, count: int = 360) -> np.ndarray:
     return eff.p * z / (1.0 - eff.overlook * z)
 
 
-def in_classical_region(z: complex, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def in_classical_region(z: complex, p) -> bool:
     """Whether a detected-spectrum value sits inside the classical disk.
 
-    Membership is meaningful for |z| <= 1 + tol.mag (detected spectra are
-    bounded by 1).  Tolerance-padded: boundary points count as inside.
+    Membership is meaningful for |z| <= 1 + MAG_TOL (detected spectra are
+    bounded by 1).  Padded by MAG_TOL: boundary points count as inside.
     """
-    return bool(classical_region(p).excess(z) <= tol.mag)
+    return bool(classical_region(p).excess(z) <= MAG_TOL)
 
 
 class VerdictKind(str, Enum):
@@ -306,10 +304,10 @@ class ClassicalityVerdict:
     pole_proximity: float
 
 
-def _find_violations(big_phi: Spectrum, region: ClassicalRegion,
-                     tol: Tolerances) -> tuple[RegionViolation, ...]:
+def _find_violations(big_phi: Spectrum,
+                     region: ClassicalRegion) -> tuple[RegionViolation, ...]:
     excess = region.excess(big_phi.values)
-    idx = np.nonzero(excess > tol.mag)[0]
+    idx = np.nonzero(excess > MAG_TOL)[0]
     omegas = big_phi.grid.omegas()
     return tuple(
         RegionViolation(index=int(m), omega=float(omegas[m]),
@@ -319,8 +317,7 @@ def _find_violations(big_phi: Spectrum, region: ClassicalRegion,
 
 
 def classify(F: Density, p, tau_neg: float = DEFAULT_TAU_NEG,
-             tau_pole: float = DEFAULT_TAU_POLE,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> ClassicalityVerdict:
+             tau_pole: float = DEFAULT_TAU_POLE) -> ClassicalityVerdict:
     """Decide whether a measured detected density admits a classical source.
 
     Pipeline: transform F, test every spectrum sample against the
@@ -337,12 +334,12 @@ def classify(F: Density, p, tau_neg: float = DEFAULT_TAU_NEG,
     The recovered density is attached unclipped.
     """
     eff = _eff(p)
-    big_phi = forward_transform(F, tol)
+    big_phi = forward_transform(F)
     region = classical_region(eff)
-    violations = _find_violations(big_phi, region, tol)
+    violations = _find_violations(big_phi, region)
 
     try:
-        phi, proximity = emitted_spectrum(big_phi, eff, tol)
+        phi, proximity = emitted_spectrum(big_phi, eff)
     except ExactPole:
         return ClassicalityVerdict(
             kind=VerdictKind.INDETERMINATE, recovered_f=None,
@@ -355,7 +352,7 @@ def classify(F: Density, p, tau_neg: float = DEFAULT_TAU_NEG,
         recovered = None
         neg = 0.0
         try:
-            recovered = inverse_transform(phi, tol)
+            recovered = inverse_transform(phi)
             neg = negativity_mass(recovered)
         except NonHermitianSpectrum:
             pass
@@ -364,7 +361,7 @@ def classify(F: Density, p, tau_neg: float = DEFAULT_TAU_NEG,
             negativity_mass=neg, region_violations=violations,
             pole_proximity=proximity)
 
-    recovered = inverse_transform(phi, tol)
+    recovered = inverse_transform(phi)
     neg = negativity_mass(recovered)
     if violations or neg > tau_neg:
         kind = VerdictKind.NONCLASSICAL

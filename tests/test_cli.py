@@ -56,6 +56,19 @@ def test_forward_then_classify_is_classical(tmp_path, exp_csv):
     assert verdict["p"] == 0.3
 
 
+@pytest.mark.parametrize("scale", [1.0 - 5e-7, 1.0 + 5e-7])
+def test_mass_within_norm_tolerance_runs(tmp_path, scale):
+    g = TimeGrid(4096, 0.04)
+    path = tmp_path / "f.csv"
+    write_density_csv(path, Density(g, Exponential(1.0).density(g).values * scale))
+    out = tmp_path / "out"
+    assert main(["forward", "--in", str(path), "--p", "0.3", "--out", str(out)]) == 0
+    assert main(["classify", "--in", str(path), "--p", "0.3", "--out", str(out)]) == 0
+    verdict = read_json(out / "verdict.json")
+    assert verdict["kind"] == "classical"
+    assert verdict["region_violations"] == []
+
+
 def test_classify_nonclassical_is_a_successful_run(tmp_path):
     g = TimeGrid(4096, 0.01)
     path = tmp_path / "ab.csv"

@@ -223,3 +223,18 @@ def test_parse_law():
     for bad in ("nosuchlaw:1", "gamma:1,2,3", "gamma:a,b"):
         with pytest.raises(ValidationError):
             parse_law(bad)
+
+
+@pytest.mark.parametrize("text, law, described", [
+    ("exponential:1.5", Exponential(1.5), ("exponential", {"rate": 1.5})),
+    ("gamma:0.5,2", Gamma(0.5, 2.0), ("gamma", {"shape": 0.5, "rate": 2.0})),
+    ("uniform:0.25,1", Uniform(0.25, 1.0), ("uniform", {"lo": 0.25, "hi": 1.0})),
+    ("periodic:2", Periodic(2.0), ("periodic", {"period": 2.0})),
+    ("antibunch:8,0.5", AntibunchShaped(8.0, 0.5),
+     ("antibunch", {"rise": 8.0, "decay": 0.5})),
+])
+def test_describe_every_law(text, law, described):
+    """Names and parameter order feed clicks_meta.json byte for byte."""
+    assert law.describe() == described
+    assert list(law.describe()[1]) == list(described[1])
+    assert parse_law(text) == law

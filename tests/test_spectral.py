@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from renewalthin import (
     TimeGrid,
-    Tolerances,
     Density,
     Spectrum,
     forward_transform,
@@ -22,6 +21,7 @@ from renewalthin.errors import (
     InvalidDensity,
     NonHermitianSpectrum,
 )
+from renewalthin.spectral import MAG_TOL, NORM_TOL, TAIL_TOL
 
 
 def test_grid_basics():
@@ -177,12 +177,20 @@ def test_negativity_mass():
     assert negativity_mass(Density(g, v)) == 0.0
 
 
-def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.norm == 1e-6
-    assert tol.mag == 1e-9
-    assert tol.neg == 0.0
-    assert tol.tail == 1e-8
+def test_tolerance_constants():
+    assert (NORM_TOL, MAG_TOL, TAIL_TOL) == (1e-6, 1e-9, 1e-8)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 5e-7, 1.0 + 5e-7])
+def test_forward_transform_normalizes_accepted_mass(scale):
+    """Any mass validation accepts gives phi(0) = 1 and |phi| <= 1."""
+    g = TimeGrid(4096, 0.04)
+    d = Density(g, Exponential(1.0).density(g).values * scale)
+    phi = forward_transform(d)
+    assert phi.values[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(phi.values).max() <= 1.0 + 1e-15
+    back = inverse_transform(phi)
+    assert np.max(np.abs(back.values - d.values / d.mass)) < 1e-12
 
 
 # -- properties -------------------------------------------------------------

@@ -280,6 +280,19 @@ def test_classify_antibunch_shape_classical_at_p_one():
     assert v.negativity_mass < 1e-6
 
 
+@pytest.mark.parametrize("p", [0.3, 0.9])
+@pytest.mark.parametrize("scale", [1.0 - 5e-7, 1.0 + 5e-7])
+def test_mass_within_norm_tolerance_is_accepted(scale, p):
+    """A density validation accepts must pass the unit bound, so mass a
+    hair above 1 neither raises nor shows up as a violation at omega = 0."""
+    g = TimeGrid(4096, 0.04)
+    F = Density(g, Exponential(1.0).density(g).values * scale)
+    v = classify(F, p)
+    assert v.kind is VerdictKind.CLASSICAL
+    assert v.region_violations == ()
+    assert detected_density(F, p).mass == pytest.approx(1.0, abs=1e-12)
+
+
 def test_classify_near_pole_is_indeterminate():
     g = TimeGrid(1024, 0.01)
     F = two_atom_density(g, 0.3, offset=1e-9)
