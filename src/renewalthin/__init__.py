@@ -58,7 +58,6 @@ from .thinning import (
     detected_density,
     detected_spectrum,
     emitted_spectrum,
-    in_classical_region,
     region_boundary_samples,
     series_partial_sum,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "Efficiency", "ClassicalRegion", "RegionViolation", "VerdictKind",
     "ClassicalityVerdict", "detected_spectrum", "detected_density",
     "series_partial_sum", "emitted_spectrum", "classical_region",
-    "region_boundary_samples", "in_classical_region", "classify",
+    "region_boundary_samples", "classify",
     # mcsim
     "SourceLaw", "Exponential", "Gamma", "Uniform", "Periodic",
     "AntibunchShaped", "ClickStream", "HistogramResult", "CompareMetrics",

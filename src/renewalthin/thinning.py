@@ -66,7 +66,6 @@ __all__ = [
     "emitted_spectrum",
     "classical_region",
     "region_boundary_samples",
-    "in_classical_region",
     "classify",
 ]
 
@@ -212,7 +211,8 @@ def emitted_spectrum(big_phi: Spectrum, p) -> tuple[Spectrum, float]:
     """
     eff = _eff(p)
     _check_unit_bound(big_phi, "detected spectrum")
-    denom = 1.0 - (1.0 - 1.0 / eff.p) * big_phi.values
+    denom = (1.0 - 1.0 / eff.p) * big_phi.values
+    np.subtract(1.0, denom, out=denom)
     mags = np.abs(denom)
     proximity = float(mags.min())
     if proximity == 0.0:
@@ -220,7 +220,8 @@ def emitted_spectrum(big_phi: Spectrum, p) -> tuple[Spectrum, float]:
         raise ExactPole(
             f"inverse-map denominator vanishes at frequency index {m} "
             f"(omega={big_phi.grid.omegas()[m]:.6g})")
-    phi = (big_phi.values / eff.p) / denom
+    phi = big_phi.values / eff.p
+    phi /= denom
     return Spectrum(big_phi.grid, phi), proximity
 
 
@@ -262,15 +263,6 @@ def region_boundary_samples(p, count: int = 360) -> np.ndarray:
     return eff.p * z / (1.0 - eff.overlook * z)
 
 
-def in_classical_region(z: complex, p) -> bool:
-    """Whether a detected-spectrum value sits inside the classical disk.
-
-    Membership is meaningful for |z| <= 1 + MAG_TOL (detected spectra are
-    bounded by 1).  Padded by MAG_TOL: boundary points count as inside.
-    """
-    return bool(classical_region(p).excess(z) <= MAG_TOL)
-
-
 class VerdictKind(str, Enum):
     CLASSICAL = "classical"
     NONCLASSICAL = "nonclassical"
@@ -308,6 +300,8 @@ def _find_violations(big_phi: Spectrum,
                      region: ClassicalRegion) -> tuple[RegionViolation, ...]:
     excess = region.excess(big_phi.values)
     idx = np.nonzero(excess > MAG_TOL)[0]
+    if idx.size == 0:
+        return ()
     omegas = big_phi.grid.omegas()
     return tuple(
         RegionViolation(index=int(m), omega=float(omegas[m]),

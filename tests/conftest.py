@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from renewalthin import (
     TimeGrid,
@@ -26,6 +27,28 @@ def smoothed_point_mass(grid, at=1.0):
     masses[m] = 0.5
     masses[m + 1] = 0.25
     return density_from_masses(grid, masses)
+
+
+@st.composite
+def densities_of_any_length(draw, max_n=300):
+    """Valid densities on grids of n = 2 .. max_n samples, odd and even.
+
+    Mass sits only in front of the tail window and the last sample, so
+    validation accepts every draw.
+    """
+    n = draw(st.integers(2, max_n))
+    front = min(int(np.ceil(0.9 * n)), n - 1)
+    masses = np.zeros(n)
+    masses[:front] = draw(hnp.arrays(
+        np.float64, front, elements=st.floats(0.0, 1.0, allow_nan=False)
+    ).filter(lambda m: m.sum() > 0.1))
+    return density_from_masses(TimeGrid(n, 25.0 / n), masses)
+
+
+def is_hermitian(values):
+    """Whether values[-k] == conj(values[k]) for every k, exactly."""
+    k = np.arange(values.size)
+    return bool(np.all(values[-k] == np.conjugate(values)))
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ from renewalthin.errors import (
     InvalidDensity,
     NonHermitianSpectrum,
 )
-from renewalthin.spectral import MAG_TOL, NORM_TOL, TAIL_TOL
+from renewalthin.spectral import MAG_TOL, NORM_TOL, TAIL_TOL, _hermitian_residual
+from conftest import densities_of_any_length, is_hermitian
 
 
 def test_grid_basics():
@@ -167,6 +168,29 @@ def test_inverse_rejects_asymmetric_spectrum():
         inverse_transform(Spectrum(g, broken))
 
 
+def test_inverse_rejects_anti_hermitian_error_spread_over_every_bin():
+    """1e-10 per bin is far below MAG_TOL, yet the errors add up at t = 0."""
+    g = TimeGrid(1024, 0.04)
+    s = forward_transform(Exponential(1.0).density(g))
+    broken = s.values + 1e-10j
+    old_residual = np.abs(np.fft.ifft(broken).imag).max() / g.dt
+    assert old_residual > MAG_TOL  # the complex-FFT check rejected it too
+    with pytest.raises(NonHermitianSpectrum):
+        inverse_transform(Spectrum(g, broken))
+
+
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_property_hermitian_residual_bounds_discarded_imaginary_part(n, seed):
+    """The residual is at least the imaginary part a complex inverse FFT
+    would discard, so every spectrum that check rejected is still rejected."""
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(n, 25.0 / n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v *= 10.0 ** rng.uniform(-12, 0)
+    discarded = np.abs(np.fft.ifft(v).imag).max() / g.dt
+    assert _hermitian_residual(Spectrum(g, v)) >= discarded * (1 - 1e-12)
+
+
 def test_negativity_mass():
     g = TimeGrid(10, 0.1)
     v = np.zeros(10)
@@ -211,11 +235,11 @@ def _random_density(masses):
     return density_from_masses(g, padded)
 
 
-@given(front_masses)
-def test_property_round_trip(masses):
-    f = _random_density(masses)
-    back = inverse_transform(forward_transform(f))
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
+@given(densities_of_any_length())
+def test_property_round_trip(d):
+    back = inverse_transform(forward_transform(d))
+    expect = d.values / d.mass
+    assert np.max(np.abs(back.values - expect)) <= 1e-13 * np.abs(expect).max()
 
 
 @given(front_masses)
@@ -223,3 +247,10 @@ def test_property_spectrum_bounded_by_one(masses):
     f = _random_density(masses)
     s = forward_transform(f)
     assert np.max(np.abs(s.values)) <= 1.0 + 1e-9
+
+
+@given(densities_of_any_length())
+def test_property_forward_transform_is_exactly_hermitian(d):
+    s = forward_transform(d)
+    assert is_hermitian(s.values)
+    assert _hermitian_residual(s) == 0.0

@@ -22,7 +22,6 @@ from renewalthin import (
     classify,
     classical_region,
     region_boundary_samples,
-    in_classical_region,
     VerdictKind,
     Exponential,
     Gamma,
@@ -37,6 +36,8 @@ from renewalthin.errors import (
     InvalidSpectrum,
     ValidationError,
 )
+from renewalthin.spectral import MAG_TOL
+from conftest import densities_of_any_length, is_hermitian
 
 
 def two_atom_density(grid, p, offset=0.0, t_a_bin=64):
@@ -224,11 +225,14 @@ def test_region_boundary_on_circle():
 
 
 def test_in_classical_region_hand_values():
-    assert in_classical_region(1.0, 0.5)          # boundary point for any p
-    assert in_classical_region(0.0, 0.5)
-    assert not in_classical_region(-1.0, 0.5)     # distance 4/3 > 2/3
-    assert in_classical_region(1.0, 0.05)
-    assert not in_classical_region(1.0 + 1e-6, 1.0)
+    def inside(z, p):
+        return classical_region(p).excess(z) <= MAG_TOL
+
+    assert inside(1.0, 0.5)          # boundary point for any p
+    assert inside(0.0, 0.5)
+    assert not inside(-1.0, 0.5)     # distance 4/3 > 2/3
+    assert inside(1.0, 0.05)
+    assert not inside(1.0 + 1e-6, 1.0)
 
 
 # -- classifier ---------------------------------------------------------------
@@ -362,3 +366,15 @@ def test_property_mobius_round_trip(values, p):
     phi = Spectrum(g, values)
     back, _ = emitted_spectrum(detected_spectrum(phi, p), p)
     assert np.max(np.abs(back.values - phi.values)) < 1e-12
+
+
+@given(densities_of_any_length(), st.floats(0.01, 1.0))
+def test_property_maps_keep_exact_hermitian_symmetry(f, p):
+    """Both pointwise maps send exactly Hermitian spectra to exactly
+    Hermitian spectra, so the inverse transform's residual stays 0."""
+    big_phi = detected_spectrum(forward_transform(f), p)
+    assert is_hermitian(big_phi.values)
+    phi, _ = emitted_spectrum(big_phi, p)
+    assert is_hermitian(phi.values)
+    phi_direct, _ = emitted_spectrum(forward_transform(f), p)
+    assert is_hermitian(phi_direct.values)
