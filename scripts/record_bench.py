@@ -2,7 +2,7 @@
 """Compare two trees on the benchmark in alternating pairs; write BENCH_<n>.json.
 
 Each side is a git ref, exported with ``git archive`` into a temporary
-directory, or a directory holding a checkout.  For every workload, pair i
+directory, so only committed files are measured.  For every workload, pair i
 runs ``perfbench/run.py --workload W --seed (seed + i)`` once on each side
 in a fresh process, parent first in even pairs and change first in odd
 ones, so that slow phases of the host hit both sides alike.  Nothing
@@ -15,7 +15,7 @@ The bounds come from the change's ``BENCHMARK.json``.  Only measured
 numbers are written.
 
     python scripts/record_bench.py --parent HEAD~1 --change HEAD --out BENCH_23.json
-    python scripts/record_bench.py --parent HEAD --change . --workloads sweep --pairs 10
+    python scripts/record_bench.py --workloads sweep --pairs 10 --seconds 20 --out sweep.json
 """
 
 from __future__ import annotations
@@ -45,25 +45,15 @@ def _git(*args: str) -> str:
     return done.stdout.strip()
 
 
-def checkout(spec: str, scratch: Path, side: str) -> tuple[Path, dict]:
-    """A directory holding `spec` and where it came from."""
-    if Path(spec).is_dir():
-        where = Path(spec).resolve()
-        origin = {"source": str(spec), "commit": None, "dirty": None}
-        if (where / ".git").exists():
-            status = subprocess.run(["git", "-C", str(where), "status", "--porcelain"],
-                                    capture_output=True, text=True, check=True)
-            head = subprocess.run(["git", "-C", str(where), "rev-parse", "HEAD"],
-                                  capture_output=True, text=True, check=True)
-            origin.update(commit=head.stdout.strip(), dirty=bool(status.stdout.strip()))
-        return where, origin
-    commit = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
-    where = scratch / side
+def checkout(ref: str, workdir: Path, side: str) -> tuple[Path, dict]:
+    """`ref` exported into a fresh directory, and where it came from."""
+    commit = _git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    where = workdir / side
     where.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
                              capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(where)], input=archive.stdout, check=True)
-    return where, {"source": spec, "commit": commit, "dirty": False,
+    return where, {"source": ref, "commit": commit,
                    "src_tree": _git("rev-parse", f"{commit}:src")}
 
 
@@ -121,8 +111,8 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", default="HEAD~1", help="git ref or directory")
-    ap.add_argument("--change", default="HEAD", help="git ref or directory")
+    ap.add_argument("--parent", default="HEAD~1", help="git ref")
+    ap.add_argument("--change", default="HEAD", help="git ref")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
@@ -132,11 +122,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    scratch = Path(tempfile.mkdtemp(prefix="record_bench-"))
+    workdir = Path(tempfile.mkdtemp(prefix="record_bench-"))
     try:
         trees, origins = {}, {}
         for side in SIDES:
-            trees[side], origins[side] = checkout(getattr(args, side), scratch, side)
+            trees[side], origins[side] = checkout(getattr(args, side), workdir, side)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
         report = {
             "sides": origins,
@@ -163,7 +153,7 @@ def main(argv=None) -> int:
             # what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
     return 0
 
 
