@@ -2,20 +2,22 @@
 """Compare two trees on the benchmark in alternating pairs; write BENCH_<n>.json.
 
 Each side is a git ref, exported with ``git archive`` into a temporary
-directory, so only committed files are measured.  For every workload, pair i
-runs ``perfbench/run.py --workload W --seed (seed + i)`` once on each side
-in a fresh process, parent first in even pairs and change first in odd
-ones, so that slow phases of the host hit both sides alike.  Nothing
-under ``perfbench/`` is touched.
+directory, so only committed files are measured.  For every workload, each
+of the ten pairs i runs ``perfbench/run.py --workload W --seed (seed + i)``
+once on each side in a fresh process, at the benchmark's own run length,
+parent first in even pairs and change first in odd ones, so that slow
+phases of the host hit both sides alike.  Nothing under ``perfbench/`` is
+touched.
 
 The JSON written holds, per workload, every run's end-to-end metrics,
-``correct`` and ``fail_frac``; per side the median and quartiles of each
-metric; and per metric the number of pairs in which the change was better.
+``correct``, ``fail_frac`` and provenance (its run length included); per
+side the median and quartiles of each metric; and per metric the number of
+pairs in which the change was better.
 The bounds come from the change's ``BENCHMARK.json``.  Only measured
 numbers are written.
 
     python scripts/record_bench.py --parent HEAD~1 --change HEAD --out BENCH_23.json
-    python scripts/record_bench.py --workloads sweep --pairs 10 --seconds 20 --out sweep.json
+    python scripts/record_bench.py --workloads sweep --seed 5000 --out sweep.json
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "montecarlo", "cli_write", "cli_read")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -57,11 +60,11 @@ def checkout(ref: str, workdir: Path, side: str) -> tuple[Path, dict]:
                    "src_tree": _git("rev-parse", f"{commit}:src")}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One fresh-process benchmark run; its last JSON line plus provenance."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {tree} exited "
@@ -114,13 +117,9 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD~1", help="git ref")
     ap.add_argument("--change", default="HEAD", help="git ref")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1000, help="seed of pair 0")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     workdir = Path(tempfile.mkdtemp(prefix="record_bench-"))
     try:
@@ -133,15 +132,15 @@ def main(argv=None) -> int:
             "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                      "scipy": scipy.__version__, "machine": platform.machine(),
                      "nproc": os.cpu_count()},
-            "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+            "pairs": PAIRS, "seed": args.seed,
             "workloads": {},
         }
         for workload in args.workloads:
             runs = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_once(trees[side], workload, args.seed + i, args.seconds)
+                    run = run_once(trees[side], workload, args.seed + i)
                     runs[side].append(run)
                     p50 = run["metrics"]["job_p50_s"]
                     print(f"{workload} pair {i} {side}: job_p50_s {p50:.4g} "

@@ -209,12 +209,16 @@ def inverse_transform(s: Spectrum) -> Density:
 
     Only the non-negative frequencies are read, so the result is real by
     construction.  The spectrum must be Hermitian up to round-off: the
-    residual sum_{k<=n/2} |v_k - conj(v_{(n-k) mod n})| / (n dt) bounds
-    the imaginary part a full complex inverse would discard, and a
-    residual above MAG_TOL relative to the spectrum's own scale raises
-    NonHermitianSpectrum.  Spectra made by this package are exactly
-    Hermitian, so their residual is 0.  inverse(forward(d)) reproduces
-    d / mass to round-off.
+    residual (see _hermitian_residual) bounds the imaginary part a full
+    complex inverse would discard, and a residual above MAG_TOL relative
+    to the spectrum's own scale raises NonHermitianSpectrum.  Spectra made
+    by this package are exactly Hermitian, so their residual is 0.  The
+    bound is conservative: it sums the asymmetry of every bin, so a
+    spectrum built elsewhere whose per-bin asymmetry is incoherent noise
+    of size e reads about e / dt, where the largest discarded imaginary
+    part is only about e / (sqrt(n) dt), and can be rejected although a
+    check of that imaginary part would pass it.  inverse(forward(d))
+    reproduces d / mass to round-off.
     """
     residual = _hermitian_residual(s)
     scale = max(1.0, float(np.abs(s.values).max()))
@@ -227,19 +231,24 @@ def inverse_transform(s: Spectrum) -> Density:
 
 
 def _hermitian_residual(s: Spectrum) -> float:
-    """sum_{k<=n/2} |v_k - conj(v_{(n-k) mod n})| / (n dt).
+    """(|Im v_0| + sum_{0<k<n/2} |v_k - conj(v_{n-k})| + |Im v_{n/2}|) / (n dt).
 
-    Im ifft(v)_j = (ifft(v)_j - conj(ifft(v)_j)) / 2i is 1/(2n) times a
-    sum over all k of (v_k - conj(v_{n-k})) times unit phases, and the
-    terms for k and n-k have equal size, so this sum over k <= n/2 bounds
-    max_j |Im ifft(v)_j| / dt from above.
+    The Nyquist term is present for even n only.  With m_k = v_k -
+    conj(v_{(n-k) mod n}), Im ifft(v)_j is 1/(2n) times a sum over all k
+    of m_k times unit phases; |m_{n-k}| = |m_k|, m_0 = 2i Im v_0 and, for
+    even n, m_{n/2} = 2i Im v_{n/2}.  The triangle inequality then makes
+    this sum an upper bound on max_j |Im ifft(v)_j| / dt, with equality
+    when the asymmetry sits in bin 0 alone.
     """
     v = s.values
     n = s.grid.n
-    h = n // 2 + 1
-    mismatch = np.conjugate(v[n - 1:n - h:-1])
-    np.subtract(v[1:h], mismatch, out=mismatch)
-    return (2.0 * abs(v[0].imag) + float(np.abs(mismatch).sum())) / (n * s.grid.dt)
+    pairs = (n - 1) // 2
+    mismatch = np.conjugate(v[n - 1:n - 1 - pairs:-1])
+    np.subtract(v[1:pairs + 1], mismatch, out=mismatch)
+    total = abs(v[0].imag) + float(np.abs(mismatch).sum())
+    if n % 2 == 0:
+        total += abs(v[n // 2].imag)
+    return total / (n * s.grid.dt)
 
 
 def density_from_masses(grid: TimeGrid, masses: np.ndarray) -> Density:

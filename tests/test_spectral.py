@@ -191,6 +191,17 @@ def test_property_hermitian_residual_bounds_discarded_imaginary_part(n, seed):
     assert _hermitian_residual(Spectrum(g, v)) >= discarded * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_hermitian_residual_is_tight_on_bin_0(n):
+    """Asymmetry in bin 0 alone moves every time sample's imaginary part by
+    the same amount, so the bound equals the discarded imaginary part."""
+    g = TimeGrid(n, 0.5)
+    v = np.ones(n, dtype=np.complex128)
+    v[0] += 3e-6j
+    discarded = np.abs(np.fft.ifft(v).imag).max() / g.dt
+    assert _hermitian_residual(Spectrum(g, v)) == pytest.approx(discarded, rel=1e-12)
+
+
 def test_negativity_mass():
     g = TimeGrid(10, 0.1)
     v = np.zeros(10)
