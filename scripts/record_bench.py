@@ -12,7 +12,17 @@ touched.
 The JSON written holds, per workload, every run's end-to-end metrics,
 ``correct``, ``fail_frac`` and provenance (its run length included); per
 side the median and quartiles of each metric; and per metric the number of
-pairs in which the change was better.
+pairs in which the change was better and a verdict, decided in this order:
+
+- ``gain``: the change is better in at least nine tenths of the pairs, its
+  median is better than the parent's by more than the parent's q3 - q1,
+  and a larger share of its operations does not fail;
+- ``unresolved``: the parent's q3 - q1 exceeds the bound times its median,
+  and not every run of the change is better than every run of the parent;
+- ``regression``: the change's median is worse than the parent's by more
+  than the bound times the parent's median;
+- ``within_bound`` otherwise.
+
 The bounds come from the change's ``BENCHMARK.json``.  Only measured
 numbers are written.
 
@@ -91,18 +101,48 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _is_better(better: str):
+    """a, b -> whether a is better than b for a metric whose `better` is given."""
+    return (lambda a, b: a < b) if better == "lower" else (lambda a, b: a > b)
+
+
+def pair_wins(parent: list[float], change: list[float], better: str) -> int:
+    is_better = _is_better(better)
+    return sum(is_better(c, p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            more_failures: bool) -> str:
+    """gain, unresolved, regression or within_bound, as the module docstring says."""
+    is_better = _is_better(better)
+    par, chg = quartiles(parent), quartiles(change)
+    spread = par["q3"] - par["q1"]
+    if (not more_failures and 10 * pair_wins(parent, change, better) >= 9 * len(parent)
+            and is_better(chg["median"], par["median"])
+            and abs(chg["median"] - par["median"]) > spread):
+        return "gain"
+    if spread > bound * par["median"] and not all(
+            is_better(c, p) for c in change for p in parent):
+        return "unresolved"
+    worst = par["median"] * (1 + bound if better == "lower" else 1 - bound)
+    return "regression" if is_better(worst, chg["median"]) else "within_bound"
+
+
 def summarize(runs: dict, spec: list[dict]) -> dict:
-    """Per-side quartiles and per-metric pair wins of the change."""
+    """Per-side quartiles, per-metric pair wins and verdicts of the change."""
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+    attempted = {side: sum(r["attempted"] for r in runs[side]) for side in SIDES}
+    more_failures = (failed["change"] * attempted["parent"]
+                     > failed["parent"] * attempted["change"])
     metrics = {}
     for m in spec:
         name = m["name"]
         per_side = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
-        if m["better"] == "lower":
-            wins = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
-        else:
-            wins = sum(c > p for p, c in zip(per_side["parent"], per_side["change"]))
         metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                         "change_better_pairs": wins,
+                         "change_better_pairs": pair_wins(
+                             per_side["parent"], per_side["change"], m["better"]),
+                         "verdict": verdict(per_side["parent"], per_side["change"],
+                                            m["better"], m["bound"], more_failures),
                          **{side: quartiles(per_side[side]) for side in SIDES}}
     return {
         "metrics": metrics,
@@ -146,8 +186,12 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: job_p50_s {p50:.4g} "
                           f"correct {run['correct']} fail_frac {run['fail_frac']:.3g}",
                           flush=True)
-            report["workloads"][workload] = {"summary": summarize(runs, spec),
-                                             "runs": runs}
+            summary = summarize(runs, spec)
+            report["workloads"][workload] = {"summary": summary, "runs": runs}
+            for name, m in summary["metrics"].items():
+                print(f"{workload} {name}: {m['verdict']} (parent median "
+                      f"{m['parent']['median']:.4g}, change {m['change']['median']:.4g}, "
+                      f"change better in {m['change_better_pairs']}/{PAIRS})", flush=True)
             # Written after every workload, so an interrupted run keeps
             # what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")

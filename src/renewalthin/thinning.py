@@ -118,13 +118,17 @@ def detected_spectrum(phi: Spectrum, p) -> Spectrum:
     """
     eff = _eff(p)
     _check_unit_bound(phi, "emission spectrum")
-    denom = 1.0 - eff.overlook * phi.values
+    denom = phi.values * eff.overlook
+    np.subtract(1.0, denom, out=denom)
     dmin = float(np.abs(denom).min())
     if dmin < DENOMINATOR_UNDERFLOW_LIMIT:
         raise DenominatorUnderflow(
             f"|1 - (1-p) phi| reaches {dmin:.3g} < {DENOMINATOR_UNDERFLOW_LIMIT:.0e} "
             f"at p={eff.p}")
-    return Spectrum(phi.grid, eff.p * phi.values / denom)
+    num = phi.values * eff.p
+    num /= denom
+    num.setflags(write=False)
+    return Spectrum(phi.grid, num)
 
 
 def detected_density(f: Density, p) -> Density:
@@ -147,7 +151,7 @@ def detected_density(f: Density, p) -> Density:
 def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency) -> Density:
     """Invert a detected spectrum and apply detected_density's output checks."""
     out = inverse_transform(big_phi)
-    v = np.array(out.values)
+    v = out.values
     dt = out.grid.dt
 
     tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * out.grid.n))
@@ -164,9 +168,10 @@ def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency) -> Densi
         raise InvalidDensity(
             "negativity",
             f"detected density dips to {vmin:.6g}, below round-off floor {floor:.3g}")
-    np.clip(v, 0.0, None, out=v)
+    clipped = np.clip(v, 0.0, None)
+    clipped.setflags(write=False)
 
-    result = Density(out.grid, v)
+    result = Density(out.grid, clipped)
     if abs(result.mass - 1.0) > NORM_TOL:
         raise InvalidDensity(
             "normalization",
@@ -197,6 +202,7 @@ def series_partial_sum(f: Density, p, order: int) -> Density:
         power = np.convolve(power, f.values)[:n] * dt
         weight *= eff.overlook
         acc = acc + weight * power
+    acc.setflags(write=False)
     return Density(f.grid, acc)
 
 
@@ -205,24 +211,27 @@ def emitted_spectrum(big_phi: Spectrum, p) -> tuple[Spectrum, float]:
 
     Returns (phi, pole_proximity) with
     phi = (1/p) Phi / (1 - (1 - 1/p) Phi) and pole_proximity the minimum
-    over the grid of |1 - (1 - 1/p) Phi|.  Raises ExactPole only when a
-    denominator vanishes exactly; near-misses are reported through the
-    proximity so callers can judge how much amplified noise to expect.
+    over the grid of |1 - (1 - 1/p) Phi|.  Both are computed from
+    d = p + (1-p) Phi, which is p times that denominator: phi = Phi / d
+    and pole_proximity = min |d| / p, equal to the forms above up to
+    round-off.  Raises ExactPole only when a denominator vanishes exactly;
+    near-misses are reported through the proximity so callers can judge
+    how much amplified noise to expect.
     """
     eff = _eff(p)
     _check_unit_bound(big_phi, "detected spectrum")
-    denom = (1.0 - 1.0 / eff.p) * big_phi.values
-    np.subtract(1.0, denom, out=denom)
-    mags = np.abs(denom)
-    proximity = float(mags.min())
+    d = big_phi.values * eff.overlook
+    d += eff.p
+    mags = np.abs(d)
+    proximity = float(mags.min()) / eff.p
     if proximity == 0.0:
         m = int(mags.argmin())
         raise ExactPole(
             f"inverse-map denominator vanishes at frequency index {m} "
             f"(omega={big_phi.grid.omegas()[m]:.6g})")
-    phi = big_phi.values / eff.p
-    phi /= denom
-    return Spectrum(big_phi.grid, phi), proximity
+    np.divide(big_phi.values, d, out=d)
+    d.setflags(write=False)
+    return Spectrum(big_phi.grid, d), proximity
 
 
 @dataclass(frozen=True)
@@ -235,7 +244,9 @@ class ClassicalRegion:
 
     def excess(self, z: np.ndarray) -> np.ndarray:
         """Signed distance outside the disk (negative means inside)."""
-        return np.abs(np.asarray(z) - self.center) - self.radius
+        e = np.abs(np.asarray(z) - self.center)
+        e -= self.radius
+        return e
 
 
 def classical_region(p) -> ClassicalRegion:

@@ -65,6 +65,33 @@ def test_density_values_read_only():
         f.values[0] = 7.0
 
 
+@pytest.mark.parametrize("cls, dtype", [(Density, np.float64), (Spectrum, np.complex128)])
+def test_containers_copy_what_a_caller_can_change_and_share_frozen_buffers(cls, dtype):
+    g = TimeGrid(8, 0.5)
+    writeable = np.arange(8, dtype=dtype)
+    c = cls(g, writeable)
+    writeable[0] = 7.0
+    assert c.values[0] == 0.0
+    assert not c.values.flags.writeable
+
+    owned = np.arange(8, dtype=dtype)
+    owned.setflags(write=False)
+    assert cls(g, owned).values is owned
+
+    # A frozen view of writeable memory, and a frozen array of another
+    # dtype, are copied.
+    base = np.arange(16, dtype=dtype)
+    view = base[::2]
+    view.setflags(write=False)
+    shared = cls(g, view)
+    base[0] = 7.0
+    assert shared.values[0] == 0.0
+    other = np.arange(8, dtype=np.float32)
+    other.setflags(write=False)
+    converted = cls(g, other).values
+    assert converted.dtype == dtype and not converted.flags.writeable
+
+
 def test_validation_negativity():
     g = TimeGrid(64, 0.1)
     v = np.full(64, 1.0)
@@ -177,6 +204,29 @@ def test_inverse_rejects_anti_hermitian_error_spread_over_every_bin():
     assert old_residual > MAG_TOL  # the complex-FFT check rejected it too
     with pytest.raises(NonHermitianSpectrum):
         inverse_transform(Spectrum(g, broken))
+
+
+@pytest.mark.parametrize("peak, residual, rejected", [
+    (1e3, 5 * MAG_TOL, False),
+    (1e3, 5e3 * MAG_TOL, True),
+    (1e-3, 0.5 * MAG_TOL, False),
+    (1e-3, 2 * MAG_TOL, True),
+])
+def test_inverse_residual_bound_scales_with_spectrum_peak(peak, residual, rejected):
+    """The allowance is MAG_TOL times max(1, max|v|); the scale is only
+    computed once the residual exceeds MAG_TOL, which must not change
+    what is rejected."""
+    g = TimeGrid(1024, 0.04)
+    v = forward_transform(Exponential(1.0).density(g)).values * peak
+    v[0] += 1j * residual * g.n * g.dt     # asymmetry in bin 0 alone
+    s = Spectrum(g, v)
+    assert _hermitian_residual(s) == pytest.approx(residual, rel=1e-12)
+    assert max(1.0, np.abs(v).max()) == pytest.approx(max(1.0, peak), rel=1e-12)
+    if rejected:
+        with pytest.raises(NonHermitianSpectrum):
+            inverse_transform(s)
+    else:
+        inverse_transform(s)
 
 
 @given(st.integers(2, 300), st.integers(0, 2**32 - 1))

@@ -12,6 +12,7 @@ from renewalthin import (
     Density,
     Spectrum,
     forward_transform,
+    inverse_transform,
     density_from_masses,
     grid_for_mean,
     Efficiency,
@@ -378,3 +379,59 @@ def test_property_maps_keep_exact_hermitian_symmetry(f, p):
     assert is_hermitian(phi.values)
     phi_direct, _ = emitted_spectrum(forward_transform(f), p)
     assert is_hermitian(phi_direct.values)
+
+
+@st.composite
+def hermitian_unit_disk_spectra(draw, max_n=300):
+    """Exactly Hermitian spectra of n = 2 .. max_n samples with |v| <= 1."""
+    n = draw(st.integers(2, max_n))
+    half = draw(hnp.arrays(np.complex128, n // 2 + 1, elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
+    half[0] = half[0].real
+    if n % 2 == 0:
+        half[-1] = half[-1].real
+    v = np.empty(n, dtype=np.complex128)
+    v[:half.size] = half
+    v[half.size:] = np.conjugate(half[(n + 1) // 2 - 1:0:-1])
+    return v
+
+
+@given(hermitian_unit_disk_spectra(), st.floats(0.01, 1.0))
+def test_property_emitted_spectrum_matches_textbook_form(v, p):
+    """phi and the pole proximity equal (Phi/p) / (1 - (1-1/p) Phi) and
+    min |1 - (1-1/p) Phi| to 1e-13.  Near the pole both forms carry an
+    absolute round-off of about eps/p in the proximity, so the tolerance
+    widens by 8 eps / min |p + (1-p) Phi|, the map's condition number."""
+    eps = np.finfo(np.float64).eps
+    denom = 1.0 - (1.0 - 1.0 / p) * v
+    ref_prox = float(np.abs(denom).min())
+    try:
+        phi, prox = emitted_spectrum(Spectrum(TimeGrid(v.size, 0.1), v), p)
+    except ExactPole:
+        assert ref_prox <= 8 * eps / p
+        return
+    assert abs(prox - ref_prox) <= 1e-13 * ref_prox + 8 * eps / p
+    if ref_prox > 0.0:
+        ref_phi = (v / p) / denom
+        rtol = 1e-13 + 8 * eps / (p * ref_prox)
+        assert np.abs(phi.values - ref_phi).max() <= rtol * np.abs(ref_phi).max()
+
+
+def test_every_returned_values_array_is_read_only():
+    g = TimeGrid(2048, 0.05)
+    f = Gamma(2.0, 2.0).density(g)
+    phi = forward_transform(f)
+    big_phi = detected_spectrum(phi, 0.5)
+    F = detected_density(f, 0.5)
+    returned = {
+        "forward_transform": phi,
+        "inverse_transform": inverse_transform(phi),
+        "detected_spectrum": big_phi,
+        "emitted_spectrum": emitted_spectrum(big_phi, 0.5)[0],
+        "detected_density": F,
+        "classify.recovered_f": classify(F, 0.5).recovered_f,
+    }
+    for name, c in returned.items():
+        assert not c.values.flags.writeable, name
+        with pytest.raises(ValueError):
+            c.values[0] = 0.0
