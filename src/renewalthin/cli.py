@@ -151,7 +151,7 @@ def cmd_forward(args) -> int:
     p = Efficiency(args.p)
     phi = forward_transform(f)
     big_phi = detected_spectrum(phi, p)
-    F = _density_from_detected_spectrum(big_phi, p)
+    F = _density_from_detected_spectrum(big_phi)
     out = _outdir(args)
     fileio.write_density_csv(out / "detected_density.csv", F)
     fileio.write_spectrum_csv(out / "emission_spectrum.csv", phi)

@@ -2,6 +2,8 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; the CLI maps them onto exit codes (validation vs numeric failure).
+An error raised by ``spectral.check`` also names the violated invariant in
+its ``invariant`` attribute.
 """
 
 
@@ -19,10 +21,6 @@ class InvalidDensity(ValidationError):
     The ``invariant`` attribute names the violated check
     ("negativity", "normalization", "tail_sample", "tail_window").
     """
-
-    def __init__(self, invariant: str, message: str):
-        self.invariant = invariant
-        super().__init__(f"{invariant}: {message}")
 
 
 class InvalidSpectrum(ValidationError):

@@ -29,6 +29,7 @@ __all__ = [
     "read_json",
     "verdict_to_dict",
     "write_region_csv",
+    "region_meta_dict",
 ]
 
 # Relative tolerance for the uniform-spacing check on read.

@@ -38,6 +38,8 @@ __all__ = [
     "Density",
     "Spectrum",
     "grid_for_mean",
+    "check",
+    "tail_window_mass",
     "validate_density",
     "forward_transform",
     "inverse_transform",
@@ -161,38 +163,37 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def check(name: str, value: float, limit: float, error: type[Exception]) -> None:
+    """Pass only when value <= limit; otherwise raise error naming the invariant.
+
+    The test is written as ``not value <= limit`` so that a NaN value
+    fails.  The raised error carries the name, value and limit in its
+    message and the name in its ``invariant`` attribute.
+    """
+    if not value <= limit:
+        exc = error(f"{name}: {value:.12g} is not <= {limit:.12g}")
+        exc.invariant = name
+        raise exc
+
+
+def tail_window_mass(d: Density) -> float:
+    """Mass in the last TAIL_WINDOW_FRACTION of the grid."""
+    tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * d.grid.n))
+    return float(d.values[tail_start:].sum()) * d.grid.dt
+
+
 def validate_density(d: Density) -> None:
     """Check the probability-density invariants, raising InvalidDensity.
 
     Checks, in order: no value below zero; total mass within NORM_TOL of
-    1; mass below TAIL_TOL in the final sample and in the last tenth of
-    the grid (wrap-around headroom for the circular transform).
+    1; mass at most TAIL_TOL in the final sample and in the last tenth of
+    the grid (wrap-around headroom for the circular transform).  A NaN
+    sample fails the first check, because min and sum propagate it.
     """
-    v = d.values
-    dt = d.grid.dt
-    vmin = float(v.min())
-    if vmin < 0.0:
-        k = int(v.argmin())
-        raise InvalidDensity(
-            "negativity", f"value {vmin:.6g} at t={k * dt:.6g} below 0")
-    mass = d.mass
-    if abs(mass - 1.0) > NORM_TOL:
-        raise InvalidDensity(
-            "normalization",
-            f"total mass {mass:.12g} deviates from 1 by more than {NORM_TOL:.3g}")
-    last_mass = float(v[-1]) * dt
-    if not last_mass < TAIL_TOL:
-        raise InvalidDensity(
-            "tail_sample",
-            f"final sample carries mass {last_mass:.3g} >= {TAIL_TOL:.3g}; "
-            "extend the horizon")
-    tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * d.grid.n))
-    window_mass = float(v[tail_start:].sum()) * dt
-    if not window_mass < TAIL_TOL:
-        raise InvalidDensity(
-            "tail_window",
-            f"last {TAIL_WINDOW_FRACTION:.0%} of the grid carries mass "
-            f"{window_mass:.3g} >= {TAIL_TOL:.3g}; extend the horizon")
+    check("negativity", -float(d.values.min()), 0.0, InvalidDensity)
+    check("normalization", abs(d.mass - 1.0), NORM_TOL, InvalidDensity)
+    check("tail_sample", float(d.values[-1]) * d.grid.dt, TAIL_TOL, InvalidDensity)
+    check("tail_window", tail_window_mass(d), TAIL_TOL, InvalidDensity)
 
 
 def forward_transform(d: Density) -> Spectrum:
@@ -233,12 +234,9 @@ def inverse_transform(s: Spectrum) -> Density:
     """
     residual = _hermitian_residual(s)
     # scale >= 1, so a residual within MAG_TOL passes without computing it.
-    if residual > MAG_TOL:
+    if not residual <= MAG_TOL:
         scale = max(1.0, float(np.abs(s.values).max()))
-        if residual > MAG_TOL * scale:
-            raise NonHermitianSpectrum(
-                f"Hermitian residual {residual:.3g} exceeds "
-                f"{MAG_TOL:.3g} x spectrum scale {scale:.3g}")
+        check("hermitian_residual", residual, MAG_TOL * scale, NonHermitianSpectrum)
     n = s.grid.n
     v = np.fft.irfft(s.values[:n // 2 + 1], n)
     v /= s.grid.dt

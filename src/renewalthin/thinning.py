@@ -35,19 +35,19 @@ from .errors import (
     HorizonTooShort,
     InvalidDensity,
     InvalidSpectrum,
-    NonHermitianSpectrum,
     ValidationError,
 )
 from .spectral import (
     MAG_TOL,
     NORM_TOL,
     TAIL_TOL,
-    TAIL_WINDOW_FRACTION,
     Density,
     Spectrum,
+    check,
     forward_transform,
     inverse_transform,
     negativity_mass,
+    tail_window_mass,
     validate_density,
 )
 
@@ -100,12 +100,8 @@ def _eff(p) -> Efficiency:
     return p if isinstance(p, Efficiency) else Efficiency(float(p))
 
 
-def _check_unit_bound(s: Spectrum, what: str) -> None:
-    peak = float(np.abs(s.values).max())
-    if peak > 1.0 + MAG_TOL:
-        raise InvalidSpectrum(
-            f"{what} magnitude {peak:.12g} exceeds 1 + {MAG_TOL:.3g}; "
-            "not the transform of a probability density")
+def _check_unit_bound(s: Spectrum) -> None:
+    check("unit_bound", float(np.abs(s.values).max()), 1.0 + MAG_TOL, InvalidSpectrum)
 
 
 def detected_spectrum(phi: Spectrum, p) -> Spectrum:
@@ -117,7 +113,7 @@ def detected_spectrum(phi: Spectrum, p) -> Spectrum:
     bound.
     """
     eff = _eff(p)
-    _check_unit_bound(phi, "emission spectrum")
+    _check_unit_bound(phi)
     denom = phi.values * eff.overlook
     np.subtract(1.0, denom, out=denom)
     dmin = float(np.abs(denom).min())
@@ -145,37 +141,19 @@ def detected_density(f: Density, p) -> Density:
     # phi stays referenced until return.  Freeing it early lowers the heap's
     # high-water mark, and the next large allocations then page-fault.
     phi = forward_transform(f)
-    return _density_from_detected_spectrum(detected_spectrum(phi, eff), eff)
+    return _density_from_detected_spectrum(detected_spectrum(phi, eff))
 
 
-def _density_from_detected_spectrum(big_phi: Spectrum, eff: Efficiency) -> Density:
+def _density_from_detected_spectrum(big_phi: Spectrum) -> Density:
     """Invert a detected spectrum and apply detected_density's output checks."""
     out = inverse_transform(big_phi)
     v = out.values
-    dt = out.grid.dt
-
-    tail_start = int(np.ceil((1.0 - TAIL_WINDOW_FRACTION) * out.grid.n))
-    window_mass = float(v[tail_start:].sum()) * dt
-    if not window_mass < TAIL_TOL:
-        raise HorizonTooShort(
-            f"detected density keeps mass {window_mass:.3g} in the last "
-            f"{TAIL_WINDOW_FRACTION:.0%} of the grid (mean stretches by 1/p = "
-            f"{1.0 / eff.p:.3g}); enlarge the horizon")
-
-    floor = -_OUTPUT_NEG_REL * float(v.max())
-    vmin = float(v.min())
-    if vmin < floor:
-        raise InvalidDensity(
-            "negativity",
-            f"detected density dips to {vmin:.6g}, below round-off floor {floor:.3g}")
+    check("horizon", tail_window_mass(out), TAIL_TOL, HorizonTooShort)
+    check("negativity", -float(v.min()), _OUTPUT_NEG_REL * float(v.max()), InvalidDensity)
     clipped = np.clip(v, 0.0, None)
     clipped.setflags(write=False)
-
     result = Density(out.grid, clipped)
-    if abs(result.mass - 1.0) > NORM_TOL:
-        raise InvalidDensity(
-            "normalization",
-            f"detected density mass {result.mass:.12g} deviates from 1")
+    check("normalization", abs(result.mass - 1.0), NORM_TOL, InvalidDensity)
     return result
 
 
@@ -219,7 +197,7 @@ def emitted_spectrum(big_phi: Spectrum, p) -> tuple[Spectrum, float]:
     how much amplified noise to expect.
     """
     eff = _eff(p)
-    _check_unit_bound(big_phi, "detected spectrum")
+    _check_unit_bound(big_phi)
     d = big_phi.values * eff.overlook
     d += eff.p
     mags = np.abs(d)
@@ -351,24 +329,13 @@ def classify(F: Density, p, tau_neg: float = DEFAULT_TAU_NEG,
             negativity_mass=0.0, region_violations=violations,
             pole_proximity=0.0)
 
-    if proximity < tau_pole:
-        # Inversion output is amplified noise; recover what we can for
-        # inspection but do not let it decide the verdict.
-        recovered = None
-        neg = 0.0
-        try:
-            recovered = inverse_transform(phi)
-            neg = negativity_mass(recovered)
-        except NonHermitianSpectrum:
-            pass
-        return ClassicalityVerdict(
-            kind=VerdictKind.INDETERMINATE, recovered_f=recovered,
-            negativity_mass=neg, region_violations=violations,
-            pole_proximity=proximity)
-
     recovered = inverse_transform(phi)
     neg = negativity_mass(recovered)
-    if violations or neg > tau_neg:
+    if proximity < tau_pole:
+        # Inversion output is amplified noise: attach it for inspection
+        # but do not let it decide the verdict.
+        kind = VerdictKind.INDETERMINATE
+    elif violations or neg > tau_neg:
         kind = VerdictKind.NONCLASSICAL
     else:
         kind = VerdictKind.CLASSICAL

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from renewalthin import TimeGrid, Density, grid_for_mean, Exponential, AntibunchShaped
+from renewalthin import (
+    TimeGrid, Density, grid_for_mean, detected_density, Exponential, AntibunchShaped,
+)
 from renewalthin.cli import main
 from renewalthin.fileio import (
     write_density_csv,
@@ -239,3 +241,18 @@ def test_numeric_failures_exit_4(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 4
     assert "HorizonTooShort" in capsys.readouterr().err
+
+
+def test_nan_sample_exits_3(tmp_path, capsys):
+    # NaN fails no `value > limit` test, so one NaN sample used to pass
+    # validation: classify and invert exited 0, forward 4 (HorizonTooShort).
+    F = detected_density(Exponential(1.0).density(grid_for_mean(1.0 / 0.3, n=4096)), 0.3)
+    v = F.values.copy()
+    v[100] = np.nan
+    path = tmp_path / "nan.csv"
+    write_density_csv(path, Density(F.grid, v))
+    for command in ("classify", "invert", "forward"):
+        out = tmp_path / command
+        assert main([command, "--in", str(path), "--p", "0.3", "--out", str(out)]) == 3
+        assert "negativity: nan" in capsys.readouterr().err
+    assert not (tmp_path / "classify" / "verdict.json").exists()

@@ -1,6 +1,7 @@
 """Detection-thinning maps, series oracle, classical-region geometry, classifier."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,14 +31,17 @@ from renewalthin import (
     AntibunchShaped,
     Periodic,
 )
+from renewalthin import cli, thinning
 from renewalthin.errors import (
     DenominatorUnderflow,
     ExactPole,
     HorizonTooShort,
+    InvalidDensity,
     InvalidSpectrum,
+    NonHermitianSpectrum,
     ValidationError,
 )
-from renewalthin.spectral import MAG_TOL
+from renewalthin.spectral import MAG_TOL, NORM_TOL, TAIL_TOL, validate_density
 from conftest import densities_of_any_length, is_hermitian
 
 
@@ -134,6 +138,84 @@ def test_denominator_underflow():
     phi = forward_transform(Density(g, v))  # all-ones spectrum
     with pytest.raises(DenominatorUnderflow):
         detected_spectrum(phi, Efficiency(1e-15))
+
+
+def _atoms(entries):
+    """Density on TimeGrid(100, 1.0): a unit atom at t = 0, overridden or
+    joined by the given {index: value} entries.  With dt = 1 every value
+    is its own mass, so each checked quantity is exactly an entry."""
+    v = np.zeros(100)
+    v[0] = 1.0
+    for k, x in entries.items():
+        v[k] = x
+    return Density(TimeGrid(100, 1.0), v)
+
+
+def _ones_spectrum(v0):
+    """All-ones spectrum on TimeGrid(8, 0.125) with v0 at zero frequency.
+    n dt = 1, so the Hermitian residual is exactly |Im v0|."""
+    v = np.ones(8, dtype=complex)
+    v[0] = v0
+    return Spectrum(TimeGrid(8, 0.125), v)
+
+
+def _output_checks(out):
+    """detected_density's output checks on out, as if the inverse transform
+    of the detected spectrum had returned it."""
+    with mock.patch.object(thinning, "inverse_transform", return_value=out):
+        return thinning._density_from_detected_spectrum(None)
+
+
+# One row per spectral.check call site: invariant name, limit, raised
+# class, CLI exit code, a run of the site whose checked quantity is set by
+# one knob, and the knob value that puts the quantity at the limit.  (For
+# normalization the knob is the mass, since 1 + NORM_TOL - 1 != NORM_TOL.)
+LEDGER = [
+    ("negativity", 0.0, InvalidDensity, 3,
+     lambda x: validate_density(_atoms({5: -x})), 0.0),
+    ("normalization", NORM_TOL, InvalidDensity, 3,
+     lambda m: validate_density(_atoms({0: m})), 1.0 + NORM_TOL),
+    ("tail_sample", TAIL_TOL, InvalidDensity, 3,
+     lambda x: validate_density(_atoms({99: x})), TAIL_TOL),
+    ("tail_window", TAIL_TOL, InvalidDensity, 3,
+     lambda x: validate_density(_atoms({98: x})), TAIL_TOL),
+    ("hermitian_residual", MAG_TOL, NonHermitianSpectrum, 4,
+     lambda r: inverse_transform(_ones_spectrum(1.0 + 1j * r)), MAG_TOL),
+    ("unit_bound", 1.0 + MAG_TOL, InvalidSpectrum, 3,
+     lambda x: detected_spectrum(_ones_spectrum(x), 0.5), 1.0 + MAG_TOL),
+    ("unit_bound", 1.0 + MAG_TOL, InvalidSpectrum, 3,
+     lambda x: emitted_spectrum(_ones_spectrum(x), 0.5), 1.0 + MAG_TOL),
+    ("horizon", TAIL_TOL, HorizonTooShort, 4,
+     lambda x: _output_checks(_atoms({98: x})), TAIL_TOL),
+    ("negativity", thinning._OUTPUT_NEG_REL, InvalidDensity, 3,
+     lambda x: _output_checks(_atoms({5: -x})), thinning._OUTPUT_NEG_REL),
+    ("normalization", NORM_TOL, InvalidDensity, 3,
+     lambda m: _output_checks(_atoms({0: m})), 1.0 + NORM_TOL),
+]
+
+
+@pytest.mark.parametrize("name, limit, error, exit_code, run, at", LEDGER, ids=[
+    "validate-negativity", "validate-normalization", "validate-tail_sample",
+    "validate-tail_window", "inverse-hermitian_residual",
+    "detected_spectrum-unit_bound", "emitted_spectrum-unit_bound",
+    "output-horizon", "output-negativity", "output-normalization"])
+def test_invariant_ledger(name, limit, error, exit_code, run, at, monkeypatch,
+                          tmp_path, capsys):
+    """At the limit passes; one ulp past it, or NaN, raises the site's class
+    naming the invariant and its limit, and the CLI maps it to its exit code.
+    A tail mass of exactly TAIL_TOL passes: the bound is inclusive."""
+    run(at)
+    past = np.nextafter(at, np.inf)
+    with pytest.raises(error) as ei:
+        run(past)
+    assert ei.value.invariant == name
+    assert str(ei.value).startswith(f"{name}: ")
+    assert str(ei.value).endswith(f" is not <= {limit:.12g}")
+    with pytest.raises(error):
+        run(np.nan)
+    monkeypatch.setitem(cli._DISPATCH, "region", lambda args: run(past))
+    assert cli.main(["region", "--p", "0.5", "--out", str(tmp_path)]) == exit_code
+    assert f"{name}: " in capsys.readouterr().err
 
 
 def test_series_partial_sum_mass():
