@@ -222,6 +222,8 @@ def cmd_simulate(args) -> int:
     analytic = detected_density(law.density(grid), p)
     metrics = compare(hist.density, analytic)
     ks_critical = ks_critical_value(hist.n_intervals)
+    # Reported, not an exit status: a correct run misses 1% of the time.
+    ks_pass = bool(metrics.ks < ks_critical)
 
     out = _outdir(args)
     name, params = law.describe()
@@ -240,12 +242,13 @@ def cmd_simulate(args) -> int:
         "linf": metrics.linf,
         "ks": metrics.ks,
         "ks_critical_1pct": ks_critical,
+        "ks_pass": ks_pass,
         "n_intervals": hist.n_intervals,
         "overflow_fraction": hist.overflow_fraction,
     })
     print(f"simulate: detected {clicks.timestamps.size}/{clicks.n_emitted} "
           f"clicks, ks={metrics.ks:.3g} "
-          f"(1% critical {ks_critical:.3g})")
+          f"(1% critical {ks_critical:.3g}) {'PASS' if ks_pass else 'FAIL'}")
     return EXIT_OK
 
 

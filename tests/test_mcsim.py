@@ -22,7 +22,8 @@ from renewalthin import (
     ks_critical_value,
     parse_law,
 )
-from renewalthin.mcsim import KS_COEFF_1PCT
+from renewalthin import mcsim
+from renewalthin.mcsim import BLOCK_EMISSIONS, KS_COEFF_1PCT
 from renewalthin.errors import GridMismatch, TooFewClicks, ValidationError
 
 
@@ -104,6 +105,61 @@ def test_simulate_p_one_keeps_every_emission():
     assert np.all(np.diff(clicks.timestamps) > 0)
 
 
+@pytest.mark.parametrize("n", [BLOCK_EMISSIONS + 1, 3 * BLOCK_EMISSIONS - 1])
+def test_simulate_p_one_keeps_every_emission_across_blocks(n):
+    ts = simulate(Exponential(1.0), 1.0, n, seed=3).timestamps
+    assert ts.size == n
+    # each block continues from the last emission of the one before it
+    assert np.all(np.diff(ts) > 0)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_simulate_is_independent_of_thread_count(monkeypatch, shards):
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    law, n = Gamma(0.5, 1.0), 2 * BLOCK_EMISSIONS + 1001
+    streams = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+        streams.append(simulate(law, 0.4, n, seed=5, shards=shards).timestamps.tobytes())
+    assert pools == [2]
+    assert streams[0] == streams[1]
+
+
+def test_simulate_blocks_follow_the_documented_stream():
+    """Reference: block b of shard s draws intervals, then coins, from child b
+    of SeedSequence([seed, s]); blocks join at the last emission before them."""
+    law, p, seed, shards, n = Gamma(2.0, 2.0), 0.3, 9, 2, 3 * BLOCK_EMISSIONS + 11
+    expected, offset = [], 0.0
+    for s in range(shards):
+        count = n // shards + (s < n % shards)
+        sizes = [BLOCK_EMISSIONS] * (count // BLOCK_EMISSIONS) + [count % BLOCK_EMISSIONS]
+        for child, size in zip(np.random.SeedSequence([seed, s]).spawn(len(sizes)), sizes):
+            rng = np.random.Generator(np.random.SFC64(child))
+            times = np.cumsum(law.sample(rng, size))
+            expected.append(times[rng.random(size) < p] + offset)
+            offset += times[-1]
+    clicks = simulate(law, p, n, seed, shards=shards)
+    assert clicks.timestamps.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_simulate_keeps_intervals_lost_to_rounding_as_ties():
+    """Gamma(0.1) draws intervals far below the spacing of doubles near the
+    running time, so some timestamps repeat; that is a valid stream."""
+    ts = simulate(Gamma(0.1, 1.0), 1.0, 100_000, 0).timestamps
+    assert ts.size == 100_000
+    assert np.all(np.diff(ts) >= 0)
+    assert np.any(np.diff(ts) == 0)
+
+
 def test_simulate_binomial_detection_count():
     clicks = simulate(Exponential(1.0), 0.3, 1_000_000, seed=2)
     # 3 sigma around Binomial(1e6, 0.3)
@@ -120,6 +176,20 @@ def test_simulate_periodic_keeps_lattice():
 def test_clickstream_requires_increasing_timestamps():
     with pytest.raises(ValidationError):
         ClickStream(np.array([0.0, 2.0, 1.0]), 10, 0.5, 0)
+    with pytest.raises(ValidationError):
+        ClickStream(np.array([0.0, np.nan, 1.0]), 10, 0.5, 0)
+    ties = ClickStream(np.array([0.0, 1.0, 1.0, 2.0]), 10, 0.5, 0)
+    assert ties.timestamps.tolist() == [0.0, 1.0, 1.0, 2.0]
+
+
+def test_clickstream_copies_writeable_and_shares_frozen_timestamps():
+    ts = np.array([0.0, 1.0, 2.0])
+    clicks = ClickStream(ts, 3, 1.0, 0)
+    ts[0] = -1.0
+    assert clicks.timestamps[0] == 0.0
+    assert not clicks.timestamps.flags.writeable
+    frozen = simulate(Exponential(1.0), 0.5, 1000, seed=1).timestamps
+    assert ClickStream(frozen, 1000, 0.5, 1).timestamps is frozen
 
 
 def test_histogram_single_bin():
@@ -174,8 +244,7 @@ def test_compare_grid_mismatch():
 
 
 def test_ks_critical_constant_matches_inverse_ks_distribution():
-    # 1% one-sample critical coefficient, cross-checked against scipy
-    assert abs(KS_COEFF_1PCT - kolmogi(0.01)) < 1e-4
+    assert KS_COEFF_1PCT == kolmogi(0.01)
     assert ks_critical_value(10_000) == pytest.approx(KS_COEFF_1PCT / 100.0)
 
 
