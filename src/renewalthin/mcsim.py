@@ -9,13 +9,16 @@ Randomness comes from numpy's SFC64 generator.  Each shard's emissions
 are cut into fixed blocks of BLOCK_EMISSIONS, and every block draws from
 its own child of SeedSequence([seed, shard]), so blocks run on threads in
 any order and the stream is still bitwise reproducible for a fixed
-(seed, shard count).
+(seed, shard count).  Histograms bin their intervals in chunks of the same
+size on the same thread pool, and the integer bin counts do not depend on
+how the chunks are scheduled.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -54,6 +57,37 @@ KS_COEFF_1PCT = float(sp_special.kolmogi(0.01))
 # smaller blocks measured a higher peak memory, because the malloc arenas of
 # worker threads keep the blocks they freed.
 BLOCK_EMISSIONS = 2**18
+
+# One thread pool for the module, with a worker per usable CPU, made on
+# first use.  A forked child gets none of the parent's threads, so it
+# forgets the pool and makes its own.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool():
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _parallel_map(fn, items):
+    """[fn(x) for x in items], on the shared pool when there are several
+    items and CPUs, inline otherwise."""
+    global _POOL
+    # sched_getaffinity counts the CPUs this process may use; it is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if min(len(items), cpus) == 1:
+        return [fn(x) for x in items]
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(cpus)
+    return list(_POOL.map(fn, items))
 
 
 class SourceLaw(ABC):
@@ -229,6 +263,9 @@ class ClickStream:
             raise ValidationError("timestamps must be a 1-d array")
         if not np.all(ts[1:] >= ts[:-1]):
             raise ValidationError("timestamps must be non-decreasing")
+        # a non-decreasing array is finite if its ends are; a lone NaN fails too
+        if ts.size and not np.isfinite(ts[[0, -1]]).all():
+            raise ValidationError("timestamps must be finite")
         object.__setattr__(self, "timestamps", _readonly(ts, np.float64))
 
 
@@ -240,7 +277,8 @@ def _thinned_block(law: SourceLaw, p: float, seed: np.random.SeedSequence,
     times = law.sample(rng, count)
     np.cumsum(times, out=times)
     kept = rng.random(count) < p
-    return times[kept], float(times[-1])
+    # take of the kept indices gathers the same elements as times[kept], faster
+    return times.take(np.flatnonzero(kept)), float(times[-1])
 
 
 def simulate(law: SourceLaw, p, n_emitted: int, seed: int,
@@ -251,8 +289,8 @@ def simulate(law: SourceLaw, p, n_emitted: int, seed: int,
     shard's emissions into blocks of BLOCK_EMISSIONS, the last one
     shorter.  Block b of a shard draws its intervals, then one keep/drop
     coin per click, from child b of SeedSequence([seed, shard]).  Blocks
-    run on a thread pool when there are several blocks and CPUs, and are
-    joined in order with a running time offset.  For a fixed (seed,
+    run on the shared thread pool when there are several blocks and CPUs,
+    and are joined in order with a running time offset.  For a fixed (seed,
     shards) pair the output is therefore bitwise deterministic whatever
     the number of threads, and non-decreasing across block boundaries,
     because adding an offset is monotone in floating point.
@@ -271,19 +309,7 @@ def simulate(law: SourceLaw, p, n_emitted: int, seed: int,
         sizes = [BLOCK_EMISSIONS] * full + ([rest] if rest else [])
         blocks += zip(np.random.SeedSequence([seed, s]).spawn(len(sizes)), sizes)
 
-    def run(block):
-        return _thinned_block(law, eff, *block)
-
-    # sched_getaffinity counts the CPUs this process may use; it is Linux-only
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(blocks), cpus)
-    if workers == 1:
-        results = [run(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, blocks))
+    results = _parallel_map(lambda block: _thinned_block(law, eff, *block), blocks)
 
     timestamps = np.empty(sum(kept.size for kept, _ in results))
     start = 0
@@ -313,24 +339,38 @@ class HistogramResult:
 def waiting_time_histogram(clicks: ClickStream, grid: TimeGrid) -> HistogramResult:
     """Bin inter-click intervals onto the grid as a density estimate.
 
-    Interval tau lands in bin round(tau/dt), matching the centered-cell
-    convention used when discretizing analytic laws.  Intervals past the
-    horizon are tallied as overflow, never silently dropped: bin counts
-    are divided by (total intervals * dt), so the density sums to
-    1 - overflow_fraction.
+    Interval tau lands in bin round(tau/dt) (half to even), matching the
+    centered-cell convention used when discretizing analytic laws.
+    Intervals past the horizon are tallied as overflow, never silently
+    dropped: bin counts are divided by (total intervals * dt), so the
+    density sums to 1 - overflow_fraction.
+
+    The intervals are binned in chunks of BLOCK_EMISSIONS on the shared
+    thread pool; neighbouring chunks share one timestamp, so each interval
+    is counted once.
     """
     ts = clicks.timestamps
     if ts.size < 2:
         raise TooFewClicks(
             f"need at least 2 timestamps to form intervals, got {ts.size}")
-    intervals = np.diff(ts)
-    idx = np.rint(intervals / grid.dt).astype(np.int64)
-    overflow = int(np.count_nonzero(idx >= grid.n))
-    counts = np.bincount(idx[idx < grid.n], minlength=grid.n)
-    total = intervals.size
-    values = counts.astype(np.float64) / (total * grid.dt)
+    n, dt = grid.n, grid.dt
+
+    def bin_chunk(start):
+        # an interval or bin index past the largest double becomes inf,
+        # which lands in the overflow bin like any other long interval
+        with np.errstate(over="ignore"):
+            bins = np.diff(ts[start:start + BLOCK_EMISSIONS + 1])
+            np.divide(bins, dt, out=bins)
+        np.rint(bins, out=bins)
+        # bin n collects the overflow; clamping first keeps the cast in range
+        np.minimum(bins, n, out=bins)
+        return np.bincount(bins.astype(np.intp), minlength=n + 1)
+
+    total = ts.size - 1
+    counts = sum(_parallel_map(bin_chunk, range(0, total, BLOCK_EMISSIONS)))
+    values = counts[:n].astype(np.float64) / (total * dt)
     return HistogramResult(density=Density(grid, values),
-                           n_intervals=int(total), overflow_count=overflow)
+                           n_intervals=total, overflow_count=int(counts[n]))
 
 
 @dataclass(frozen=True)

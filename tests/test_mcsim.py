@@ -113,25 +113,117 @@ def test_simulate_p_one_keeps_every_emission_across_blocks(n):
     assert np.all(np.diff(ts) > 0)
 
 
-@pytest.mark.parametrize("shards", [1, 3])
-def test_simulate_is_independent_of_thread_count(monkeypatch, shards):
-    import concurrent.futures
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets how many CPUs mcsim sees; the shared pool starts unmade and
+    whatever pool the test makes is shut down after it."""
+    monkeypatch.setattr(mcsim, "_POOL", None)
 
-    pools = []
+    def use(k):
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    yield use
+    if mcsim._POOL is not None:
+        mcsim._POOL.shutdown()
+
+
+def run_on_one_then_two_cpus(usable_cpus, fn):
+    """fn() with one usable CPU, which runs inline, then with two, which
+    runs on a two-worker shared pool."""
+    usable_cpus(1)
+    inline = fn()
+    assert mcsim._POOL is None
+    usable_cpus(2)
+    threaded = fn()
+    assert mcsim._POOL is not None and mcsim._POOL._max_workers == 2
+    return inline, threaded
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_simulate_is_independent_of_thread_count(usable_cpus, shards):
+    law, n = Gamma(0.5, 1.0), 2 * BLOCK_EMISSIONS + 1001
+    inline, threaded = run_on_one_then_two_cpus(
+        usable_cpus, lambda: simulate(law, 0.4, n, seed=5, shards=shards).timestamps.tobytes())
+    assert inline == threaded
+
+
+def test_concurrent_first_calls_make_one_pool(usable_cpus, monkeypatch):
+    """Callers on many threads race to make the shared pool; one is made,
+    and every caller gets its own results in order."""
+    import concurrent.futures
+    import sys
+    import threading
+    import time
+
+    made = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, workers):
-            pools.append(workers)
+            made.append(workers)
+            time.sleep(0.01)  # widens the window between the check and the store
             super().__init__(workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    law, n = Gamma(0.5, 1.0), 2 * BLOCK_EMISSIONS + 1001
-    streams = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
-        streams.append(simulate(law, 0.4, n, seed=5, shards=shards).timestamps.tobytes())
-    assert pools == [2]
-    assert streams[0] == streams[1]
+    usable_cpus(2)
+    results = {}
+
+    def call(k):
+        results[k] = mcsim._parallel_map(lambda x: x * k, range(50))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert made == [2]
+    assert results == {k: [x * k for x in range(50)] for k in range(16)}
+
+
+@pytest.mark.skipif(not hasattr(mcsim.os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool(usable_cpus):
+    """A forked child has none of its parent's pool threads; reusing the
+    parent's pool there would wait forever."""
+    import os
+    import signal
+    import time
+
+    def slow(x):  # keeps both workers busy, so both are started
+        time.sleep(0.01)
+        return x
+
+    usable_cpus(2)
+    assert mcsim._parallel_map(slow, range(8)) == list(range(8))
+    pid = os.fork()
+    if pid == 0:  # child: exit 0 only if the map completes within the alarm
+        code = 1
+        try:
+            signal.alarm(20)
+            code = 0 if mcsim._parallel_map(slow, range(8)) == list(range(8)) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_histogram_is_independent_of_thread_count(usable_cpus):
+    rng = np.random.Generator(np.random.SFC64(5))
+    ts = np.cumsum(rng.gamma(0.5, size=3 * BLOCK_EMISSIONS + 7))
+    clicks = ClickStream(ts, ts.size, 1.0, 5)
+    grid = TimeGrid(64, 0.05)  # horizon 3.2, so some intervals overflow
+
+    def histogram():
+        hist = waiting_time_histogram(clicks, grid)
+        return hist.density.values.tobytes(), hist.n_intervals, hist.overflow_count
+
+    inline, threaded = run_on_one_then_two_cpus(usable_cpus, histogram)
+    assert inline == threaded == reference_histogram(ts, grid)
+    assert inline[2] > 0
 
 
 def test_simulate_blocks_follow_the_documented_stream():
@@ -182,6 +274,12 @@ def test_clickstream_requires_increasing_timestamps():
     assert ties.timestamps.tolist() == [0.0, 1.0, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("ts", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [np.inf], [np.nan]])
+def test_clickstream_rejects_non_finite_timestamps(ts):
+    with pytest.raises(ValidationError, match="must be finite"):
+        ClickStream(np.array(ts), 10, 0.5, 0)
+
+
 def test_clickstream_copies_writeable_and_shares_frozen_timestamps():
     ts = np.array([0.0, 1.0, 2.0])
     clicks = ClickStream(ts, 3, 1.0, 0)
@@ -212,6 +310,45 @@ def test_histogram_overflow_reported_not_dropped():
     assert hist.overflow_count == 1
     assert hist.overflow_fraction == pytest.approx(1.0 / 3.0)
     assert hist.density.mass == pytest.approx(1.0 - hist.overflow_fraction)
+
+
+def reference_histogram(ts, grid):
+    """The histogram in one pass over all intervals, with no chunks."""
+    intervals = np.diff(ts)
+    idx = np.rint(intervals / grid.dt).astype(np.int64)
+    counts = np.bincount(idx[idx < grid.n], minlength=grid.n)
+    values = counts.astype(np.float64) / (intervals.size * grid.dt)
+    return values.tobytes(), intervals.size, int(np.count_nonzero(idx >= grid.n))
+
+
+@pytest.mark.parametrize("n_intervals", [
+    BLOCK_EMISSIONS - 1, BLOCK_EMISSIONS, BLOCK_EMISSIONS + 1, 2 * BLOCK_EMISSIONS + 1])
+def test_chunked_histogram_matches_one_pass_reference(n_intervals):
+    """Intervals of whole half-bins from 0 to past the horizon: ties, exact
+    half-bins (which round half to even) and overflow, spread over chunk
+    boundaries.  With dt a power of two every timestamp and ratio is exact."""
+    grid = TimeGrid(64, 2.0**-4)
+    rng = np.random.Generator(np.random.SFC64(n_intervals))
+    half_bins = rng.integers(0, 2 * grid.n + 8, size=n_intervals)
+    half_bins[:4] = [0, 1, 3, 2 * grid.n - 1]  # a tie, 0.5 -> 0, 1.5 -> 2, n - 0.5 -> n
+    ts = np.concatenate([[0.0], np.cumsum(half_bins * grid.dt / 2)])
+    hist = waiting_time_histogram(ClickStream(ts, ts.size, 1.0, 0), grid)
+    got = hist.density.values.tobytes(), hist.n_intervals, hist.overflow_count
+    assert got == reference_histogram(ts, grid)
+    assert 0 < hist.overflow_count < n_intervals
+
+
+def test_histogram_counts_huge_finite_intervals_as_overflow():
+    """Intervals whose bin index, or whose own difference, is past the
+    largest double still land in overflow, with no RuntimeWarning."""
+    g = TimeGrid(256, 0.01)
+    hist = waiting_time_histogram(ClickStream(np.array([0.0, 1.0, 1e300, 1e308]), 4, 1.0, 0), g)
+    assert (hist.n_intervals, hist.overflow_count) == (3, 2)
+    assert hist.density.values[100] * g.dt == pytest.approx(1.0 / 3.0)
+    # 1e308 - (-1e308) overflows in the difference itself
+    hist = waiting_time_histogram(ClickStream(np.array([-1e308, 1e308, 1e308]), 3, 1.0, 0), g)
+    assert (hist.n_intervals, hist.overflow_count) == (2, 1)
+    assert hist.density.values[0] * g.dt == pytest.approx(0.5)
 
 
 def test_histogram_too_few_clicks():
