@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import special as sp_special
 
 from .errors import GridMismatch, TooFewClicks, ValidationError
 from .spectral import Density, TimeGrid, _readonly, density_from_masses
@@ -49,8 +48,9 @@ __all__ = [
 ]
 
 # Asymptotic one-sample Kolmogorov-Smirnov coefficient at the 1% level:
-# D_crit = KS_COEFF_1PCT / sqrt(N).
-KS_COEFF_1PCT = float(sp_special.kolmogi(0.01))
+# D_crit = KS_COEFF_1PCT / sqrt(N).  The literal is scipy.special.kolmogi(0.01),
+# written out so that importing the package does not import scipy.
+KS_COEFF_1PCT = 1.6276236115189504
 
 # Emissions per block, each block with its own generator: 2 MiB per float64
 # array.  A stream of up to this many emissions runs inline, without threads;
@@ -160,8 +160,11 @@ class Gamma(SourceLaw):
             raise ValidationError(f"rate must be positive, got {self.rate}")
 
     def cdf(self, t):
+        # scipy is imported here, on first use, to keep it off the import path
+        from scipy.special import gammainc
+
         t = np.asarray(t, dtype=np.float64)
-        return np.where(t > 0, sp_special.gammainc(self.shape, self.rate * np.clip(t, 0, None)), 0.0)
+        return np.where(t > 0, gammainc(self.shape, self.rate * np.clip(t, 0, None)), 0.0)
 
     def mean(self):
         return self.shape / self.rate

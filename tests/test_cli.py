@@ -1,7 +1,14 @@
 """End-to-end runs of every subcommand through cli.main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import renewalthin
 
 from renewalthin import (
     TimeGrid, Density, grid_for_mean, detected_density, Exponential, AntibunchShaped,
@@ -271,3 +278,45 @@ def test_nan_sample_exits_3(tmp_path, capsys):
         assert main([command, "--in", str(path), "--p", "0.3", "--out", str(out)]) == 3
         assert "negativity: nan" in capsys.readouterr().err
     assert not (tmp_path / "classify" / "verdict.json").exists()
+
+
+# Run in a fresh interpreter: this suite imports scipy itself.
+_COLD_START = """
+import sys
+from pathlib import Path
+
+import renewalthin, renewalthin.cli
+from renewalthin import Exponential, grid_for_mean
+from renewalthin.fileio import write_density_csv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+tmp = Path(sys.argv[1])
+src = tmp / "f.csv"
+write_density_csv(src, Exponential(1.0).density(grid_for_mean(1.0 / 0.3, n=1024)))
+runs = [
+    ["region", "--p", "0.5", "--count", "8", "--out", str(tmp / "rg")],
+    ["classify", "--in", str(src), "--p", "0.3", "--out", str(tmp / "cl")],
+    ["forward", "--in", str(src), "--p", "0.3", "--out", str(tmp / "fw")],
+    ["simulate", "--law", "exponential:1", "--p", "0.3", "--emissions", "20000",
+     "--n", "1024", "--out", str(tmp / "sim_exp")],
+]
+for argv in runs:
+    assert renewalthin.cli.main(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()
+assert renewalthin.cli.main(["simulate", "--law", "gamma:2,2", "--p", "0.3",
+                             "--emissions", "20000", "--n", "1024",
+                             "--out", str(tmp / "sim_gamma")]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_cli_cold_start_does_not_load_scipy(tmp_path):
+    """Only gamma-law CDFs need scipy: the import and every other
+    subcommand leave it unloaded, and the gamma law loads it on first use."""
+    src = str(Path(renewalthin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
